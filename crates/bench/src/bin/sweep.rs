@@ -230,9 +230,18 @@ fn parse_args() -> Args {
         usage_error("drive already shards and merges; drop --shard/--merge");
     }
     if args.trace.is_some()
-        && (args.drive || args.bench || args.shard.is_some() || !args.merge.is_empty())
+        && (args.drive
+            || args.bench
+            || args.shard.is_some()
+            || !args.merge.is_empty()
+            || args.explain
+            || args.bench_engine
+            || args.trace_out.is_some())
     {
-        usage_error("--trace is a single-run debug mode; drop drive/--bench/--shard/--merge");
+        usage_error(
+            "--trace is a single-run debug mode; drop drive/--bench/--shard/--merge/\
+             explain/--bench-engine/--trace-out",
+        );
     }
     if args.trace == Some(0) {
         usage_error("--trace needs a positive entry capacity");
@@ -430,19 +439,21 @@ fn main() {
 }
 
 /// `--trace N`: the debug lens. Executes only the *first* manifest run of
-/// each selected workload with the engine's bounded trace enabled and
-/// dumps the recorded protocol events to stderr — generated worlds are
-/// hard to eyeball, so this is how you watch one run happen. Writes no
-/// artifacts and prints nothing to stdout.
+/// each selected workload through its observation hook, with event
+/// recording bounded at N entries per category, and dumps the recorded
+/// events to stderr — generated worlds are hard to eyeball, so this is
+/// how you watch one run happen. Writes no artifacts and prints nothing
+/// to stdout.
 fn run_trace(args: &Args, capacity: usize) {
+    let opts = airdnd_telemetry::TelemetryOptions::events(capacity);
     for workload in selected(&args.names) {
-        match workload.trace_first_run(args.quick, capacity) {
-            Some(trace) => {
+        match workload.observe_first_run(args.quick, opts) {
+            Some(telemetry) => {
                 eprintln!(
                     "[{}] trace of run 0 ({capacity} entry cap):",
                     workload.name()
                 );
-                eprint!("{trace}");
+                eprint!("{}", telemetry.events.render());
             }
             None => eprintln!("[{}] workload has no trace support", workload.name()),
         }

@@ -15,7 +15,6 @@
 #![forbid(unsafe_code)]
 
 pub mod compare;
-pub mod exp;
 pub mod report;
 pub mod workloads;
 

@@ -22,9 +22,7 @@ use airdnd_sim::SimDuration;
 use airdnd_worldgen::{CityParams, DemandKind, FamilyKind, FleetProfile};
 use serde_json::json;
 
-use super::lifecycle::{
-    multi_ego_metrics, observe_multi_ego, run_multi_ego, trace_multi_ego, MultiEgoConfig,
-};
+use super::lifecycle::{multi_ego_metrics, observe_multi_ego, run_multi_ego, MultiEgoConfig};
 use super::worldgen::GenConfig;
 
 /// One point on the G5 scaling curve: a city of `dx × dy` districts
@@ -64,7 +62,6 @@ pub fn g5() -> FnWorkload<MultiEgoConfig, ScenarioReport> {
         run: run_multi_ego,
         metrics: multi_ego_metrics,
         tabulate: g5_tabulate,
-        trace: Some(trace_multi_ego),
         observe: Some(observe_multi_ego),
     }
 }

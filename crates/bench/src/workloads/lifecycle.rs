@@ -20,7 +20,7 @@ use airdnd_harness::{
     fmt_ci, fmt_f, Aggregate, ExperimentResult, FnWorkload, Manifest, RunPlan, SeedMode, SweepSpec,
     Table,
 };
-use airdnd_scenario::{run_scenario_in, run_scenario_in_traced, ScenarioConfig, ScenarioReport};
+use airdnd_scenario::{run_scenario_in_observed, ScenarioConfig, ScenarioReport, TelemetryOptions};
 use airdnd_worldgen::{
     assign_extra_egos, ChurnProcess, DemandKind, FamilyKind, FleetProfile, GridParams,
 };
@@ -50,9 +50,9 @@ pub struct MultiEgoConfig {
     pub egos: usize,
 }
 
-/// The single materialization path for G3 — `run` and `trace` must build
-/// the identical run, or the trace lens would debug a different world
-/// than the one producing the artifacts.
+/// The single materialization path for G3 — `run` and `observe` must build
+/// the identical run, or the observation lens would debug a different
+/// world than the one producing the artifacts.
 fn build_lifecycle(cfg: &LifecycleConfig) -> (airdnd_scenario::WorldInstance, ScenarioConfig) {
     let (mut world, scenario) = super::worldgen::materialize(&cfg.gen);
     world.schedule = cfg.churn.schedule(
@@ -79,38 +79,28 @@ pub(crate) fn build_multi_ego(
 
 fn run_lifecycle(plan: &RunPlan<LifecycleConfig>) -> ScenarioReport {
     let (world, scenario) = build_lifecycle(&plan.config);
-    run_scenario_in(world, scenario)
-}
-
-fn trace_lifecycle(plan: &RunPlan<LifecycleConfig>, capacity: usize) -> String {
-    let (world, scenario) = build_lifecycle(&plan.config);
-    run_scenario_in_traced(world, scenario, capacity).1
+    run_scenario_in_observed(world, scenario, TelemetryOptions::from_env()).0
 }
 
 fn observe_lifecycle(
     plan: &RunPlan<LifecycleConfig>,
-    opts: airdnd_scenario::TelemetryOptions,
+    opts: TelemetryOptions,
 ) -> airdnd_scenario::RunTelemetry {
     let (world, scenario) = build_lifecycle(&plan.config);
-    airdnd_scenario::run_scenario_in_observed(world, scenario, opts).1
+    run_scenario_in_observed(world, scenario, opts).1
 }
 
 pub(crate) fn run_multi_ego(plan: &RunPlan<MultiEgoConfig>) -> ScenarioReport {
     let (world, scenario) = build_multi_ego(&plan.config);
-    run_scenario_in(world, scenario)
-}
-
-pub(crate) fn trace_multi_ego(plan: &RunPlan<MultiEgoConfig>, capacity: usize) -> String {
-    let (world, scenario) = build_multi_ego(&plan.config);
-    run_scenario_in_traced(world, scenario, capacity).1
+    run_scenario_in_observed(world, scenario, TelemetryOptions::from_env()).0
 }
 
 pub(crate) fn observe_multi_ego(
     plan: &RunPlan<MultiEgoConfig>,
-    opts: airdnd_scenario::TelemetryOptions,
+    opts: TelemetryOptions,
 ) -> airdnd_scenario::RunTelemetry {
     let (world, scenario) = build_multi_ego(&plan.config);
-    airdnd_scenario::run_scenario_in_observed(world, scenario, opts).1
+    run_scenario_in_observed(world, scenario, opts).1
 }
 
 /// Scenario metrics plus the lifecycle counters the churn study tracks.
@@ -147,7 +137,6 @@ pub fn g3() -> FnWorkload<LifecycleConfig, ScenarioReport> {
         run: run_lifecycle,
         metrics: lifecycle_metrics,
         tabulate: g3_tabulate,
-        trace: Some(trace_lifecycle),
         observe: Some(observe_lifecycle),
     }
 }
@@ -256,7 +245,6 @@ pub fn g4() -> FnWorkload<MultiEgoConfig, ScenarioReport> {
         run: run_multi_ego,
         metrics: multi_ego_metrics,
         tabulate: g4_tabulate,
-        trace: Some(trace_multi_ego),
         observe: Some(observe_multi_ego),
     }
 }

@@ -24,7 +24,7 @@ pub mod scenario;
 pub mod selection;
 pub mod worldgen;
 
-use airdnd_harness::{AnyWorkload, ExperimentResult, Progress};
+use airdnd_harness::AnyWorkload;
 
 /// Seed replicates per cell for the CI-replicated figures (F1/F2/F4/F7
 /// and the T6/F12 market rows): full mode runs
@@ -69,15 +69,6 @@ pub fn find(name: &str) -> Option<Box<dyn AnyWorkload>> {
 /// The registry ids, in order.
 pub fn names() -> Vec<&'static str> {
     registry().iter().map(|w| w.name()).collect()
-}
-
-/// Executes one workload by name with silent progress; the table/series
-/// result. Panics on unknown names (callers validate against [`names`]).
-pub fn run_named(name: &str, quick: bool, threads: usize) -> ExperimentResult {
-    let workload = find(name).unwrap_or_else(|| panic!("workload `{name}` is registered"));
-    workload
-        .execute(quick, threads, &mut |_: Progress| {})
-        .result
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@ use airdnd_harness::{
     fmt_ci, fmt_f, fmt_opt, Aggregate, ExperimentResult, FnWorkload, Manifest, SeedMode, SweepSpec,
     Table,
 };
-use airdnd_scenario::{run_scenario, ScenarioConfig, ScenarioReport, Strategy};
+use airdnd_scenario::{
+    run_scenario, run_scenario_in_observed, ScenarioConfig, ScenarioReport, Strategy, WorldInstance,
+};
 use airdnd_sim::SimDuration;
 use serde_json::json;
 
@@ -89,19 +91,15 @@ fn run(plan: &airdnd_harness::RunPlan<ScenarioConfig>) -> ScenarioReport {
     run_scenario(plan.config)
 }
 
-/// The `sweep --trace N` hook shared by every scenario-backed workload:
-/// one run with the engine's bounded trace enabled.
-fn trace_scenario(plan: &airdnd_harness::RunPlan<ScenarioConfig>, capacity: usize) -> String {
-    airdnd_scenario::run_scenario_traced(plan.config, capacity).1
-}
-
-/// The `sweep --trace-out` / `--bench-engine` hook shared by every
-/// scenario-backed workload: one run returning the full telemetry.
+/// The observation hook (`sweep --trace`, `--trace-out`, `explain`,
+/// `--bench-engine`) shared by every scenario-backed workload: one run
+/// returning the full telemetry.
 fn observe_scenario(
     plan: &airdnd_harness::RunPlan<ScenarioConfig>,
     opts: airdnd_scenario::TelemetryOptions,
 ) -> airdnd_scenario::RunTelemetry {
-    airdnd_scenario::run_scenario_observed(plan.config, opts).1
+    let cfg = plan.config;
+    run_scenario_in_observed(WorldInstance::canonical(&cfg), cfg, opts).1
 }
 
 /// Mean over the present values of an optional per-run metric (`None`
@@ -126,7 +124,6 @@ pub fn f1() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f1_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -189,7 +186,6 @@ pub fn f2() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f2_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -262,7 +258,6 @@ pub fn f3() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f3_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -328,7 +323,6 @@ pub fn f4() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f4_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -396,7 +390,6 @@ pub fn t5() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: t5_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -503,7 +496,6 @@ pub fn f7() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f7_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -575,7 +567,6 @@ pub fn f8() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f8_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -626,7 +617,6 @@ pub fn t9() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: t9_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }

@@ -53,7 +53,6 @@ pub fn f10() -> SelectionWorkload {
         run,
         metrics: f10_metrics,
         tabulate: f10_tabulate,
-        trace: None,
         observe: None,
     }
 }

@@ -20,7 +20,7 @@ use airdnd_harness::{
     Table,
 };
 use airdnd_scenario::{
-    run_scenario_in, run_scenario_in_traced, ScenarioConfig, ScenarioReport, Strategy,
+    run_scenario_in_observed, ScenarioConfig, ScenarioReport, Strategy, TelemetryOptions,
 };
 use airdnd_sim::SimDuration;
 use airdnd_worldgen::{DemandKind, FamilyKind, FleetProfile, GridParams};
@@ -70,20 +70,15 @@ pub(crate) fn materialize(cfg: &GenConfig) -> (airdnd_scenario::WorldInstance, S
 
 fn run_generated(plan: &RunPlan<GenConfig>) -> ScenarioReport {
     let (world, scenario) = materialize(&plan.config);
-    run_scenario_in(world, scenario)
-}
-
-fn trace_generated(plan: &RunPlan<GenConfig>, capacity: usize) -> String {
-    let (world, scenario) = materialize(&plan.config);
-    run_scenario_in_traced(world, scenario, capacity).1
+    run_scenario_in_observed(world, scenario, TelemetryOptions::from_env()).0
 }
 
 fn observe_generated(
     plan: &RunPlan<GenConfig>,
-    opts: airdnd_scenario::TelemetryOptions,
+    opts: TelemetryOptions,
 ) -> airdnd_scenario::RunTelemetry {
     let (world, scenario) = materialize(&plan.config);
-    airdnd_scenario::run_scenario_in_observed(world, scenario, opts).1
+    run_scenario_in_observed(world, scenario, opts).1
 }
 
 /// The family axis both workloads draw from. The `city` composite is
@@ -113,7 +108,6 @@ pub fn g1() -> FnWorkload<GenConfig, ScenarioReport> {
         run: run_generated,
         metrics: scenario_metrics_with_stages,
         tabulate: g1_tabulate,
-        trace: Some(trace_generated),
         observe: Some(observe_generated),
     }
 }
@@ -218,7 +212,6 @@ pub fn g2() -> FnWorkload<GenConfig, ScenarioReport> {
         run: run_generated,
         metrics: scenario_metrics_with_stages,
         tabulate: g2_tabulate,
-        trace: Some(trace_generated),
         observe: Some(observe_generated),
     }
 }

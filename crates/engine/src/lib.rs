@@ -1,20 +1,17 @@
 //! Event-scheduled scenario core for AirDnD.
 //!
-//! The scenario runner used to advance the world through an actor engine
-//! whose only inhabitant was the world itself — every message took a
-//! detour through a mailbox, an `Rc<RefCell<..>>` and a dynamic dispatch,
-//! and every radio-range query swept the whole fleet. This crate is the
-//! substrate for the event-scheduled rewrite:
+//! The scenario runner drives the world through this crate's three
+//! primitives:
 //!
-//! * [`Timeline`] — a deterministic priority queue of typed scenario
-//!   events, keyed by `(timestamp, sequence)` so same-instant collisions
-//!   resolve in schedule order on every host, thread count and shard
-//!   split. Systems react to the popped event; nothing sweeps the fleet.
-//! * [`SpatialGrid`] — a uniform-grid index with *incremental* position
-//!   updates (insert/update/remove by key), generalizing the carrier-sense
-//!   bucketing that previously hid inside `radio`'s medium. Range queries
-//!   touch only the cells overlapping the query circle, so radio delivery
-//!   and mesh upkeep are O(nearby), not O(fleet).
+//! * [`Timeline`] — the one scheduler: a deterministic priority queue of
+//!   typed scenario events, keyed by `(timestamp, sequence)` so
+//!   same-instant collisions resolve in schedule order on every host,
+//!   thread count and shard split. Systems react to the popped event;
+//!   nothing sweeps the fleet.
+//! * [`SpatialGrid`] — the one spatial index: a uniform grid with
+//!   *incremental* position updates (insert/update/remove by key). Range
+//!   queries touch only the cells overlapping the query circle, so radio
+//!   delivery and mesh upkeep are O(nearby), not O(fleet).
 //! * [`SoaFleet`] — structure-of-arrays kinematics storage (positions,
 //!   velocities, kinds in parallel vectors) behind a stable
 //!   [`AddrIndex`] `addr → slot` map, replacing per-vehicle linear scans.

@@ -1,14 +1,11 @@
 //! A uniform-grid spatial index with incremental position updates.
 //!
-//! `geo::SpatialIndex` is a rebuild-per-tick hash: cheap to fill, but it
-//! has no notion of identity, so a moving fleet must be re-inserted from
-//! scratch every query round. [`SpatialGrid`] generalizes the
-//! carrier-sense cell bucketing that previously hid inside the radio
-//! medium: entries are keyed, positions update in place (an update only
-//! touches two buckets when the entry actually crosses a cell border),
-//! and a range query visits only the cells overlapping the query circle.
-//! That turns radio delivery and mesh upkeep from O(fleet) sweeps into
-//! O(nearby) lookups.
+//! [`SpatialGrid`] is the workspace's one spatial index. Entries are
+//! keyed, so a moving fleet is never rebuilt: positions update in place
+//! (an update only touches two buckets when the entry actually crosses a
+//! cell border), and a range query visits only the cells overlapping the
+//! query circle. That keeps radio delivery and mesh upkeep O(nearby)
+//! rather than O(fleet).
 //!
 //! Determinism is load-bearing: buckets live in a `BTreeMap`, candidates
 //! come back sorted by key, and the exact-distance filter uses the same

@@ -7,10 +7,8 @@
 //! tiebreak — so the pop order is a *total* order determined entirely by
 //! the schedule calls, never by heap internals, thread count or hashing.
 //!
-//! This mirrors the contract of `airdnd_sim::Engine`'s internal queue
-//! (which stays in place for actor-style tests) but without the actor
-//! indirection: the caller owns the world and reacts to each popped event
-//! directly.
+//! There are no actors or mailboxes: the caller owns the world and reacts
+//! to each popped event directly.
 
 use airdnd_sim::{SimDuration, SimTime};
 use std::cmp::Ordering;

@@ -13,7 +13,6 @@
 //!   edge devices,
 //! * [`occlusion`] — axis-aligned obstacles and line-of-sight tests (corner
 //!   buildings are what make "looking around the corner" necessary),
-//! * [`spatial`] — a uniform-grid index for radio-range neighbour queries,
 //! * [`fov`] — sensor field-of-view cones combining range, angle and
 //!   occlusion.
 //!
@@ -40,12 +39,10 @@ pub mod fov;
 pub mod mobility;
 pub mod occlusion;
 pub mod road;
-pub mod spatial;
 pub mod vec2;
 
 pub use fov::SensorFov;
 pub use mobility::{IdmParams, Mobility, VehicleState};
 pub use occlusion::{Aabb, Obstacle, ObstacleIndex, World};
 pub use road::{NodeId, RoadNetwork, Route};
-pub use spatial::SpatialIndex;
 pub use vec2::Vec2;

@@ -72,20 +72,12 @@ pub trait Workload: Send + Sync {
         results: &[Self::Report],
     ) -> ExperimentResult;
 
-    /// Debug lens: executes one run with a bounded event trace enabled and
-    /// returns the formatted trace, or `None` when the workload has no
-    /// trace support (the default). Used by `sweep --trace N`; never part
-    /// of the deterministic artifact path.
-    fn trace_run(&self, plan: &RunPlan<Self::Config>, capacity: usize) -> Option<String> {
-        let _ = (plan, capacity);
-        None
-    }
-
     /// Observability lens: executes one run with the given telemetry
     /// options and returns the full [`RunTelemetry`] (typed events,
     /// metrics registry, phase profile), or `None` when the workload has
-    /// no telemetry support (the default). Used by `sweep --trace-out` and
-    /// `--bench-engine`; never part of the deterministic artifact path.
+    /// no telemetry support (the default). Used by `sweep --trace`,
+    /// `--trace-out`, `explain` and `--bench-engine`; never part of the
+    /// deterministic artifact path.
     fn observe_run(
         &self,
         plan: &RunPlan<Self::Config>,
@@ -112,8 +104,6 @@ pub struct FnWorkload<C, R> {
     pub metrics: fn(&R) -> Vec<(&'static str, f64)>,
     /// Renders the table and plot series.
     pub tabulate: fn(&Manifest<C>, &[R]) -> ExperimentResult,
-    /// Optional debug hook: one traced run (see [`Workload::trace_run`]).
-    pub trace: Option<fn(&RunPlan<C>, usize) -> String>,
     /// Optional observability hook: one run with full telemetry (see
     /// [`Workload::observe_run`]).
     pub observe: Option<fn(&RunPlan<C>, TelemetryOptions) -> RunTelemetry>,
@@ -149,10 +139,6 @@ where
 
     fn tabulate(&self, manifest: &Manifest<C>, results: &[R]) -> ExperimentResult {
         (self.tabulate)(manifest, results)
-    }
-
-    fn trace_run(&self, plan: &RunPlan<C>, capacity: usize) -> Option<String> {
-        self.trace.map(|trace| trace(plan, capacity))
     }
 
     fn observe_run(&self, plan: &RunPlan<C>, opts: TelemetryOptions) -> Option<RunTelemetry> {
@@ -267,11 +253,6 @@ pub trait AnyWorkload: Send + Sync {
         quick: bool,
         artifacts: &[ShardArtifact],
     ) -> Result<WorkloadOutput, MergeError>;
-
-    /// Executes the manifest's first run with a bounded event trace and
-    /// returns the formatted entries, or `None` when the workload has no
-    /// trace support (see [`Workload::trace_run`]).
-    fn trace_first_run(&self, quick: bool, capacity: usize) -> Option<String>;
 
     /// Executes the manifest's first run with full telemetry and returns
     /// the [`RunTelemetry`], or `None` when the workload has no telemetry
@@ -402,12 +383,6 @@ impl<W: Workload> AnyWorkload for W {
             }
         }
         Ok(finish(self, &manifest, &results))
-    }
-
-    fn trace_first_run(&self, quick: bool, capacity: usize) -> Option<String> {
-        let manifest = self.spec(quick).manifest();
-        let plan = manifest.runs.first()?;
-        self.trace_run(plan, capacity)
     }
 
     fn observe_first_run(&self, quick: bool, opts: TelemetryOptions) -> Option<RunTelemetry> {

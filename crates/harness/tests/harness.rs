@@ -253,7 +253,6 @@ fn toy_workload() -> FnWorkload<ToyConfig, ToyReport> {
             }
             ExperimentResult::table_only(table)
         },
-        trace: None,
         observe: None,
     }
 }

@@ -222,7 +222,7 @@ impl Default for ScenarioConfig {
 /// scenario knobs — which portal the ego uses, where ground-truth agents
 /// hide, and where parked/RSU helpers sit. [`run_scenario`] builds the
 /// canonical corner instance; `airdnd-worldgen` families build generated
-/// ones and feed them through [`run_scenario_in`].
+/// ones and feed them through [`run_scenario_in_observed`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorldInstance {
     /// The stage with its derived occlusion grid.
@@ -1371,7 +1371,7 @@ impl WorldState {
 /// how CI diffs telemetry-on vs telemetry-off artifacts without a
 /// dedicated code path.
 pub fn run_scenario(cfg: ScenarioConfig) -> ScenarioReport {
-    run_core(
+    run_scenario_in_observed(
         WorldInstance::canonical(&cfg),
         cfg,
         TelemetryOptions::from_env(),
@@ -1379,54 +1379,12 @@ pub fn run_scenario(cfg: ScenarioConfig) -> ScenarioReport {
     .0
 }
 
-/// [`run_scenario`] with the event log enabled: returns the report plus up
-/// to `capacity` events per category rendered in the legacy trace format —
-/// the debug lens `sweep --trace N` exposes.
-pub fn run_scenario_traced(cfg: ScenarioConfig, capacity: usize) -> (ScenarioReport, String) {
-    let (report, telemetry) = run_core(
-        WorldInstance::canonical(&cfg),
-        cfg,
-        TelemetryOptions::events(capacity),
-    );
-    (report, telemetry.events.render())
-}
-
-/// [`run_scenario`] returning the full [`RunTelemetry`] — typed events,
-/// the metrics registry, and (when requested) phase profiling.
-pub fn run_scenario_observed(
-    cfg: ScenarioConfig,
-    opts: TelemetryOptions,
-) -> (ScenarioReport, RunTelemetry) {
-    run_core(WorldInstance::canonical(&cfg), cfg, opts)
-}
-
-/// Runs one scenario on an arbitrary instantiated world (a generated map
-/// with its derived occlusion grid). The canonical [`run_scenario`] is the
-/// special case `run_scenario_in(WorldInstance::canonical(&cfg), cfg)`.
-pub fn run_scenario_in(world: WorldInstance, cfg: ScenarioConfig) -> ScenarioReport {
-    run_core(world, cfg, TelemetryOptions::from_env()).0
-}
-
-/// [`run_scenario_in`] with the event log enabled.
-pub fn run_scenario_in_traced(
-    world: WorldInstance,
-    cfg: ScenarioConfig,
-    capacity: usize,
-) -> (ScenarioReport, String) {
-    let (report, telemetry) = run_core(world, cfg, TelemetryOptions::events(capacity));
-    (report, telemetry.events.render())
-}
-
-/// [`run_scenario_in`] returning the full [`RunTelemetry`].
+/// Runs one scenario on an instantiated world (the canonical corner or a
+/// generated map with its derived occlusion grid) and returns the report
+/// plus the run's [`RunTelemetry`]: typed events, the metrics registry,
+/// phase profiling and spans, as far as `opts` enables them. Telemetry
+/// never changes the report.
 pub fn run_scenario_in_observed(
-    world: WorldInstance,
-    cfg: ScenarioConfig,
-    opts: TelemetryOptions,
-) -> (ScenarioReport, RunTelemetry) {
-    run_core(world, cfg, opts)
-}
-
-fn run_core(
     mut world: WorldInstance,
     cfg: ScenarioConfig,
     opts: TelemetryOptions,

@@ -6,10 +6,14 @@
 //! must issue their own task streams over their own derived grids.
 
 use airdnd_scenario::{
-    run_scenario, run_scenario_in, run_scenario_in_observed, EgoRoute, EventKind, FleetAction,
-    FleetEvent, FleetSchedule, ScenarioConfig, Strategy, TelemetryOptions, WorldInstance,
+    run_scenario, run_scenario_in_observed, EgoRoute, EventKind, FleetAction, FleetEvent,
+    FleetSchedule, ScenarioConfig, ScenarioReport, Strategy, TelemetryOptions, WorldInstance,
 };
 use airdnd_sim::SimDuration;
+
+fn run_in(world: WorldInstance, cfg: ScenarioConfig) -> ScenarioReport {
+    run_scenario_in_observed(world, cfg, TelemetryOptions::default()).0
+}
 
 fn quick_cfg(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
@@ -48,7 +52,7 @@ fn churn_applies_every_event_and_keeps_serving() {
     let cfg = quick_cfg(11);
     let mut world = WorldInstance::canonical(&cfg);
     world.schedule = busy_schedule();
-    let report = run_scenario_in(world, cfg);
+    let report = run_in(world, cfg);
     assert_eq!(report.lifecycle_spawns, 6);
     assert_eq!(report.lifecycle_despawns, 6);
     // Spawns and despawns balance, so the population ends where it began.
@@ -115,8 +119,11 @@ fn churn_is_trace_visible() {
 #[test]
 fn first_join_precedes_first_offload() {
     let cfg = quick_cfg(13);
-    let (report, telemetry) =
-        airdnd_scenario::run_scenario_observed(cfg, TelemetryOptions::events(65_536));
+    let (report, telemetry) = run_scenario_in_observed(
+        WorldInstance::canonical(&cfg),
+        cfg,
+        TelemetryOptions::events(65_536),
+    );
     assert!(report.tasks_completed > 0);
     let log = &telemetry.events;
     let joins = log
@@ -179,7 +186,7 @@ fn zero_churn_single_ego_reproduces_the_static_run() {
     let mut world = WorldInstance::canonical(&cfg);
     world.schedule = FleetSchedule::new(Vec::new());
     world.extra_egos = Vec::new();
-    let scheduled = run_scenario_in(world, cfg);
+    let scheduled = run_in(world, cfg);
     assert_eq!(
         serde_json::to_string(&plain).expect("serializes"),
         serde_json::to_string(&scheduled).expect("serializes"),
@@ -214,7 +221,7 @@ fn spawned_helpers_are_byzantine_like_the_initial_fleet() {
         });
     }
     world.schedule = FleetSchedule::new(events);
-    let report = run_scenario_in(world, cfg);
+    let report = run_in(world, cfg);
     assert_eq!(report.lifecycle_despawns, 1);
     assert_eq!(report.lifecycle_spawns, 4);
     assert!(
@@ -235,7 +242,7 @@ fn churned_runs_are_seed_deterministic() {
         let cfg = quick_cfg(seed);
         let mut world = WorldInstance::canonical(&cfg);
         world.schedule = busy_schedule();
-        serde_json::to_string(&run_scenario_in(world, cfg)).expect("serializes")
+        serde_json::to_string(&run_in(world, cfg)).expect("serializes")
     };
     assert_eq!(run(19), run(19));
     assert_ne!(run(19), run(20));
@@ -253,7 +260,7 @@ fn multi_ego_issues_concurrent_task_streams() {
         arm: 1,
         goal_arm: 3,
     }];
-    let multi = run_scenario_in(world, cfg);
+    let multi = run_in(world, cfg);
     assert_eq!(multi.egos, 2);
     assert!(
         multi.tasks_submitted > single.tasks_submitted,
@@ -284,7 +291,7 @@ fn multi_ego_survives_churn() {
         },
     ];
     world.schedule = busy_schedule();
-    let report = run_scenario_in(world, cfg);
+    let report = run_in(world, cfg);
     assert_eq!(report.egos, 3);
     assert_eq!(report.lifecycle_despawns, 6);
     assert!(report.tasks_submitted > 20, "{}", report.tasks_submitted);

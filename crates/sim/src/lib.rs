@@ -1,61 +1,38 @@
-//! # airdnd-sim — deterministic discrete-event simulation substrate
+//! # airdnd-sim — deterministic simulation primitives
 //!
-//! Every other AirDnD crate runs on top of this engine. It provides:
+//! The vocabulary every other AirDnD crate shares:
 //!
 //! * [`SimTime`] / [`SimDuration`] — virtual time with nanosecond resolution,
 //! * [`SimRng`] — a seedable, forkable PCG32 random-number generator so every
 //!   experiment is reproducible from a single `u64` seed,
-//! * [`Engine`] — an actor-based discrete-event scheduler with deterministic
-//!   `(time, sequence)` event ordering,
-//! * [`Metrics`] — counters, gauges and reservoir histograms collected during
-//!   a run,
-//! * [`stats`] — Welford/percentile helpers used by the experiment harness,
-//! * [`Trace`] — an optional bounded event trace for debugging protocols.
+//! * [`stats`] — Welford/percentile helpers used by the experiment harness.
 //!
-//! The paper's "asynchronous" orchestration is modelled as message-driven
-//! actors: an actor only reacts to messages, and messages are delivered at
-//! deterministic virtual times. There are no threads and no wall-clock
-//! dependence anywhere in the workspace, which makes every experiment in
+//! The scheduler that orders events in virtual time is
+//! `airdnd_engine::Timeline`. Nothing in a run reads the wall clock or
+//! depends on thread scheduling, which makes every experiment in
 //! `EXPERIMENTS.md` reproducible bit-for-bit from its seed.
 //!
 //! ## Example
 //!
 //! ```
-//! use airdnd_sim::{Engine, Actor, Context, SimDuration};
+//! use airdnd_sim::{SimDuration, SimRng, SimTime};
 //!
-//! struct Ping { got: u32 }
-//! impl Actor<u32> for Ping {
-//!     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-//!         ctx.send_self(SimDuration::from_millis(5), 1);
-//!     }
-//!     fn on_message(&mut self, ctx: &mut Context<'_, u32>, msg: u32) {
-//!         self.got += msg;
-//!         if self.got < 3 {
-//!             ctx.send_self(SimDuration::from_millis(5), 1);
-//!         }
-//!     }
-//! }
-//!
-//! let mut engine = Engine::new(42);
-//! let id = engine.spawn(Ping { got: 0 });
-//! engine.run_to_completion();
-//! assert_eq!(engine.now(), airdnd_sim::SimTime::from_millis(15));
-//! # let _ = id;
+//! // Two generators from one seed draw the same virtual-time delays.
+//! let mut a = SimRng::seed_from(42);
+//! let mut b = SimRng::seed_from(42);
+//! let delay = |rng: &mut SimRng| SimDuration::from_secs_f64(rng.exp(0.005));
+//! let t = SimTime::ZERO + delay(&mut a);
+//! assert_eq!(t, SimTime::ZERO + delay(&mut b));
+//! assert!(t > SimTime::ZERO);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
-pub use engine::{Actor, ActorId, Context, Engine, RunOutcome};
-pub use metrics::{Histogram, Metrics};
 pub use rng::SimRng;
 pub use stats::{percentile, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};

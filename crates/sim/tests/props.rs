@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation substrate.
 
-use airdnd_sim::{percentile, Actor, Context, Engine, OnlineStats, SimDuration, SimRng, SimTime};
+use airdnd_sim::{percentile, OnlineStats, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use rand::RngCore;
 
@@ -60,33 +60,6 @@ proptest! {
         let scale = mean.abs().max(1.0);
         prop_assert!((online.mean() - mean).abs() / scale < 1e-9);
         prop_assert!((online.variance() - var).abs() / var.max(1.0) < 1e-6);
-    }
-
-    /// Engine event ordering: messages scheduled with non-decreasing delays
-    /// from one sender arrive in schedule order.
-    #[test]
-    fn engine_preserves_schedule_order(delays in proptest::collection::vec(0u64..1000, 1..50)) {
-        struct Collect {
-            got: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
-        }
-        impl Actor<u64> for Collect {
-            fn on_message(&mut self, _ctx: &mut Context<'_, u64>, msg: u64) {
-                self.got.borrow_mut().push(msg);
-            }
-        }
-        let got = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut engine = Engine::new(0);
-        let id = engine.spawn(Collect { got: got.clone() });
-        // Sort delays so schedule order == time order; equal delays must
-        // preserve insertion order (stable (time, seq) ordering).
-        let mut sorted = delays.clone();
-        sorted.sort_unstable();
-        for (i, &d) in sorted.iter().enumerate() {
-            engine.send(id, SimDuration::from_micros(d), i as u64);
-        }
-        engine.run_to_completion();
-        let received = got.borrow().clone();
-        prop_assert_eq!(received, (0..sorted.len() as u64).collect::<Vec<_>>());
     }
 
     /// Percentile of a constant vector is that constant at any q.

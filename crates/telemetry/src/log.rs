@@ -143,7 +143,7 @@ impl EventLog {
         TraceQuery::over(self.events())
     }
 
-    /// Renders the merged log in the legacy trace format — one
+    /// Renders the merged log as the text `sweep --trace N` prints — one
     /// `[time] actor#N label` line per event, plus a truncation note
     /// when rings dropped entries.
     pub fn render(&self) -> String {

@@ -7,9 +7,9 @@
 //! map, derive the occlusion grid from the generated geometry
 //! ([`ScenarioWorld::derive`]), hide the ground-truth agents inside the
 //! derived corridor, and place the profile's parked helpers along it.
-//! `airdnd-scenario::run_scenario_in` consumes the result unchanged — the
-//! canonical corner stage is just the [`FamilyKind::Corner`] entry of the
-//! same registry.
+//! `airdnd_scenario::run_scenario_in_observed` consumes the result
+//! unchanged — the canonical corner stage is just the
+//! [`FamilyKind::Corner`] entry of the same registry.
 
 use crate::fleets::{parked_positions, FleetProfile};
 use crate::maps::{

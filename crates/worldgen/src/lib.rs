@@ -17,7 +17,8 @@
 //! * [`family`] — the [`ScenarioFamily`] registry binding it together:
 //!   `FamilyKind::instantiate` turns a `ScenarioConfig` into the
 //!   [`WorldInstance`](airdnd_scenario::WorldInstance) that
-//!   [`run_scenario_in`](airdnd_scenario::run_scenario_in) consumes, with
+//!   [`run_scenario_in_observed`](airdnd_scenario::run_scenario_in_observed)
+//!   consumes, with
 //!   the occlusion grid *derived* from the generated geometry
 //!   ([`airdnd_scenario::ScenarioWorld::derive`]).
 //!
@@ -32,7 +33,7 @@
 //! ## Example
 //!
 //! ```
-//! use airdnd_scenario::{run_scenario_in, ScenarioConfig};
+//! use airdnd_scenario::{run_scenario_in_observed, ScenarioConfig, TelemetryOptions};
 //! use airdnd_sim::SimDuration;
 //! use airdnd_worldgen::{families, FleetProfile};
 //!
@@ -43,7 +44,7 @@
 //! };
 //! let grid = airdnd_worldgen::find("grid").unwrap();
 //! let world = grid.kind.instantiate(&cfg, &FleetProfile::default());
-//! let report = run_scenario_in(world, cfg);
+//! let (report, _) = run_scenario_in_observed(world, cfg, TelemetryOptions::default());
 //! assert_eq!(report.strategy, "airdnd");
 //! assert_eq!(families().len(), 7);
 //! ```

@@ -12,8 +12,8 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`sim`] | `airdnd-sim` | deterministic discrete-event substrate |
-//! | [`geo`] | `airdnd-geo` | roads, mobility, occlusion, spatial index |
+//! | [`sim`] | `airdnd-sim` | virtual time, seeded RNG, statistics |
+//! | [`geo`] | `airdnd-geo` | roads, mobility, occlusion, field of view |
 //! | [`engine`] | `airdnd-engine` | event timeline, uniform spatial grid, SoA fleet storage |
 //! | [`radio`] | `airdnd-radio` | V2V channel/MAC + cellular profiles |
 //! | [`data`] | `airdnd-data` | **Model 3** — data descriptions |

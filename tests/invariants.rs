@@ -2,7 +2,6 @@
 //! input, not just the scripted cases.
 
 use airdnd::data::{DataCatalog, DataQuery, DataType, QualityDescriptor};
-use airdnd::geo::{SpatialIndex, Vec2};
 use airdnd::scenario::fuse_max;
 use airdnd::sim::{percentile, SimTime};
 use airdnd::task::library;
@@ -103,30 +102,6 @@ proptest! {
             }
             Verdict::Inconclusive { .. } => prop_assert!(false, "unanimity must verify"),
         }
-    }
-
-    /// The spatial index agrees with brute force for arbitrary points.
-    #[test]
-    fn spatial_index_matches_brute_force(
-        points in proptest::collection::vec((-500.0f64..500.0, -500.0f64..500.0), 0..200),
-        center in (-500.0f64..500.0, -500.0f64..500.0),
-        radius in 0.0f64..300.0,
-    ) {
-        let mut index = SpatialIndex::new(50.0);
-        for (i, &(x, y)) in points.iter().enumerate() {
-            index.insert(i as u64, Vec2::new(x, y));
-        }
-        let c = Vec2::new(center.0, center.1);
-        let mut got = index.query_range(c, radius);
-        got.sort_unstable();
-        let mut expected: Vec<u64> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, &(x, y))| Vec2::new(x, y).distance(c) <= radius)
-            .map(|(i, _)| i as u64)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
     }
 
     /// Catalog matching never returns an item violating its own query.
