@@ -19,6 +19,18 @@ fn bench_vm(c: &mut Criterion) {
         b.iter(|| execute(black_box(&mm), black_box(&mm_inputs), ExecLimits::default()).unwrap())
     });
 
+    // The kernel every scenario offer runs: 150 rounds over an 80-cell grid.
+    let burn = library::burn_and_echo(150);
+    let grid: Vec<i64> = (0..80).map(|i| (i % 3) as i64 - 1).collect();
+    group.bench_function("execute_burn_and_echo_150x80", |b| {
+        b.iter(|| execute(black_box(&burn), black_box(&grid), ExecLimits::default()).unwrap())
+    });
+
+    let burn_program = burn.into_inner();
+    group.bench_function("verify_burn_and_echo_150", |b| {
+        b.iter(|| verify(black_box(burn_program.clone())).unwrap())
+    });
+
     let program = library::matmul(8).into_inner();
     group.bench_function("verify_matmul_8", |b| {
         b.iter(|| verify(black_box(program.clone())).unwrap())

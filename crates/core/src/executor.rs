@@ -5,14 +5,16 @@
 //! program must pass the TaskVM verifier, the declared resources must fit,
 //! the requested data must actually be present at adequate quality, the
 //! privacy policy must allow the derived output, and the backlog must
-//! leave a chance of meeting the deadline. Accepted tasks really execute —
-//! bytecode against local data words — and their *measured* gas (not the
-//! declaration) advances the executor's busy horizon.
+//! leave a chance of meeting the deadline. Admission hands back the
+//! [`VerifiedProgram`] it proved, and execution runs exactly that, so each
+//! offer is verified once. Accepted tasks really execute — bytecode against
+//! local data words — and their *measured* gas (not the declaration)
+//! advances the executor's busy horizon.
 
 use airdnd_data::{DataCatalog, DataQuery, DataType};
 use airdnd_sim::{SimDuration, SimTime};
 use airdnd_task::vm::{execute, verify, ExecLimits, Trap};
-use airdnd_task::TaskSpec;
+use airdnd_task::{TaskSpec, VerifiedProgram};
 use airdnd_trust::{PrivacyLevel, PrivacyPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -143,7 +145,9 @@ impl ExecutorSim {
         start + SimDuration::from_secs_f64(gas as f64 / self.gas_rate as f64)
     }
 
-    /// Admission control: all the RQ3 feasibility checks.
+    /// Admission control: all the RQ3 feasibility checks. On success,
+    /// returns the completion estimate and the verified program, which
+    /// [`ExecutorSim::execute`] then runs without verifying it again.
     ///
     /// # Errors
     ///
@@ -156,16 +160,16 @@ impl ExecutorSim {
         privacy: &PrivacyPolicy<DataType>,
         output_level: PrivacyLevel,
         max_backlog_factor: f64,
-    ) -> Result<SimTime, DeclineReason> {
+    ) -> Result<(SimTime, VerifiedProgram), DeclineReason> {
         if !self.accepting {
             return Err(DeclineReason::NotAccepting);
         }
         if task.requirements.memory_bytes > self.mem_bytes {
             return Err(DeclineReason::InsufficientMemory);
         }
-        if verify(task.program.clone()).is_err() {
+        let Ok(program) = verify(task.program.clone()) else {
             return Err(DeclineReason::ProgramInvalid);
-        }
+        };
         for query in &task.inputs {
             if !privacy.allows(&query.data_type, output_level) {
                 return Err(DeclineReason::PrivacyViolation);
@@ -178,7 +182,7 @@ impl ExecutorSim {
         if backlog_secs > task.requirements.deadline.as_secs_f64() * max_backlog_factor {
             return Err(DeclineReason::Overloaded);
         }
-        Ok(self.eta(now, task.requirements.gas))
+        Ok((self.eta(now, task.requirements.gas), program))
     }
 
     /// Reserves backlog for an admitted task (call right after a
@@ -188,30 +192,30 @@ impl ExecutorSim {
         self.running.insert(task_id, gas);
     }
 
-    /// Runs the task's program against `inputs`, advancing the busy
-    /// horizon by the *measured* gas. Releases the reservation.
+    /// Runs an admitted program against `inputs` under the task's declared
+    /// gas budget, advancing the busy horizon by the *measured* gas.
+    /// Releases the reservation.
     ///
     /// # Errors
     ///
     /// Returns the VM [`Trap`] if the program faults; the reservation is
-    /// still released and time is charged for the gas burned up to the
-    /// trap's limit.
+    /// still released and time is charged for the whole declared budget.
     pub fn execute(
         &mut self,
         now: SimTime,
         task_id: u64,
-        task: &TaskSpec,
+        program: &VerifiedProgram,
+        gas_budget: u64,
         inputs: &[i64],
     ) -> Result<ExecutionResult, Trap> {
         let reserved = self.running.remove(&task_id).unwrap_or(0);
         self.queued_gas = self.queued_gas.saturating_sub(reserved);
-        let verified = verify(task.program.clone()).map_err(|_| Trap::OutOfGas { limit: 0 })?;
         let limits = ExecLimits {
-            max_gas: task.requirements.gas,
+            max_gas: gas_budget,
             max_outputs: 65_536,
         };
         let start = self.busy_until.max(now);
-        match execute(&verified, inputs, limits) {
+        match execute(program, inputs, limits) {
             Ok(exec) => {
                 let finish =
                     start + SimDuration::from_secs_f64(exec.gas_used as f64 / self.gas_rate as f64);
@@ -236,9 +240,8 @@ impl ExecutorSim {
             }
             Err(trap) => {
                 // Charge the declared budget: a trapping task still burned time.
-                let burned = task.requirements.gas;
                 self.busy_until =
-                    start + SimDuration::from_secs_f64(burned as f64 / self.gas_rate as f64);
+                    start + SimDuration::from_secs_f64(gas_budget as f64 / self.gas_rate as f64);
                 Err(trap)
             }
         }
@@ -292,7 +295,7 @@ mod tests {
 
     fn stocked_catalog(now: SimTime) -> (DataCatalog, BTreeMap<u64, Vec<i64>>) {
         let mut catalog = DataCatalog::new(8);
-        let id = catalog.insert(
+        let (id, _) = catalog.insert(
             DataType::OccupancyGrid,
             32,
             QualityDescriptor::basic(now, 0.9, 2.0),
@@ -312,7 +315,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         let (catalog, _) = stocked_catalog(now);
         let task = task_with_gas(500_000).with_input(DataQuery::of_type(DataType::OccupancyGrid));
-        let eta = exec
+        let (eta, program) = exec
             .admit(
                 now,
                 &task,
@@ -323,6 +326,11 @@ mod tests {
             )
             .unwrap();
         assert_eq!(eta, now + SimDuration::from_millis(500));
+        assert_eq!(
+            program,
+            library::sum_inputs(),
+            "admission proves the offered program"
+        );
     }
 
     #[test]
@@ -417,9 +425,10 @@ mod tests {
     fn execute_runs_real_bytecode() {
         let mut exec = ExecutorSim::new(1_000_000, 1 << 30);
         let now = SimTime::from_secs(1);
-        let task = task_with_gas(1_000_000);
         exec.reserve(1, 1_000_000);
-        let result = exec.execute(now, 1, &task, &[10, 20, 30]).unwrap();
+        let result = exec
+            .execute(now, 1, &library::sum_inputs(), 1_000_000, &[10, 20, 30])
+            .unwrap();
         assert_eq!(result.outputs, vec![60]);
         assert!(result.gas_used > 0);
         assert!(result.finish > now);
@@ -431,9 +440,9 @@ mod tests {
     fn sequential_tasks_queue_on_busy_horizon() {
         let mut exec = ExecutorSim::new(1_000, 1 << 30); // slow: 1k gas/s
         let now = SimTime::ZERO;
-        let task = task_with_gas(1_000_000);
-        let r1 = exec.execute(now, 1, &task, &[1]).unwrap();
-        let r2 = exec.execute(now, 2, &task, &[1]).unwrap();
+        let program = library::sum_inputs();
+        let r1 = exec.execute(now, 1, &program, 1_000_000, &[1]).unwrap();
+        let r2 = exec.execute(now, 2, &program, 1_000_000, &[1]).unwrap();
         assert!(r2.finish > r1.finish, "second task starts after the first");
         let gap = r2.finish.saturating_since(r1.finish);
         assert!((gap.as_secs_f64() - r1.gas_used as f64 / 1_000.0).abs() < 1e-6);
@@ -444,9 +453,13 @@ mod tests {
         let mut honest = ExecutorSim::new(1_000_000, 1 << 30);
         let mut byz = ExecutorSim::new(1_000_000, 1 << 30);
         byz.set_byzantine(true);
-        let task = task_with_gas(1_000_000);
-        let h = honest.execute(SimTime::ZERO, 1, &task, &[5, 5]).unwrap();
-        let b = byz.execute(SimTime::ZERO, 1, &task, &[5, 5]).unwrap();
+        let program = library::sum_inputs();
+        let h = honest
+            .execute(SimTime::ZERO, 1, &program, 1_000_000, &[5, 5])
+            .unwrap();
+        let b = byz
+            .execute(SimTime::ZERO, 1, &program, 1_000_000, &[5, 5])
+            .unwrap();
         assert_ne!(h.outputs, b.outputs);
         assert_eq!(h.outputs, vec![10]);
     }
@@ -455,17 +468,19 @@ mod tests {
     fn trapping_task_charges_time() {
         let mut exec = ExecutorSim::new(1_000, 1 << 30);
         // Divide by zero traps immediately.
-        let mut task = task_with_gas(5_000);
-        task.program = Program::new(
+        let program = verify(Program::new(
             vec![
                 airdnd_task::Instr::Push(1),
                 airdnd_task::Instr::Push(0),
                 airdnd_task::Instr::Div,
             ],
             0,
-        );
+        ))
+        .unwrap();
         let before = exec.eta(SimTime::ZERO, 0);
-        let err = exec.execute(SimTime::ZERO, 1, &task, &[]).unwrap_err();
+        let err = exec
+            .execute(SimTime::ZERO, 1, &program, 5_000, &[])
+            .unwrap_err();
         assert!(matches!(err, Trap::DivByZero { .. }));
         let after = exec.eta(SimTime::ZERO, 0);
         assert!(after > before, "trap still burned the declared budget");
@@ -475,7 +490,7 @@ mod tests {
     fn gather_inputs_concatenates_in_query_order() {
         let now = SimTime::from_secs(1);
         let (mut catalog, mut store) = stocked_catalog(now);
-        let id2 = catalog.insert(
+        let (id2, _) = catalog.insert(
             DataType::TrackList,
             16,
             QualityDescriptor::basic(now, 0.9, 2.0),

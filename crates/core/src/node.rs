@@ -197,11 +197,12 @@ impl OrchestratorNode {
         quality: QualityDescriptor,
     ) -> airdnd_data::DataItemId {
         let size = payload.len() as u64 * 8;
-        let id = self.catalog.insert(data_type, size, quality);
+        let (id, evicted) = self.catalog.insert(data_type, size, quality);
         self.store.insert(id.raw(), payload);
-        // Bound the store to the catalog: drop payloads of evicted items.
-        let live: Vec<u64> = self.catalog.iter().map(|i| i.id.raw()).collect();
-        self.store.retain(|k, _| live.contains(k));
+        // Bound the store to the catalog: drop the evicted item's payload.
+        if let Some(evicted) = evicted {
+            self.store.remove(&evicted.raw());
+        }
         id
     }
 
@@ -374,7 +375,7 @@ impl OrchestratorNode {
                     self.cfg.max_backlog_factor,
                 );
                 match admission {
-                    Ok(eta) => {
+                    Ok((eta, program)) => {
                         let task_id = task.id;
                         self.executor.reserve(task_id.raw(), task.requirements.gas);
                         let inputs = gather_inputs(&self.catalog, &self.store, &task.inputs, now);
@@ -390,7 +391,11 @@ impl OrchestratorNode {
                             });
                             return;
                         };
-                        match self.executor.execute(now, task_id.raw(), &task, &inputs) {
+                        let gas = task.requirements.gas;
+                        match self
+                            .executor
+                            .execute(now, task_id.raw(), &program, gas, &inputs)
+                        {
                             Ok(result) => {
                                 self.stats.offers_accepted += 1;
                                 self.stats.results_returned += 1;
@@ -762,5 +767,22 @@ mod tests {
             .is_some());
         assert!(beacon.advert.accepting);
         assert_eq!(beacon.advert.gas_rate, 1_000_000);
+    }
+
+    #[test]
+    fn payload_store_tracks_catalog_through_eviction() {
+        let mut n = node(1, 1_000_000);
+        for k in 0..3 * 64 {
+            n.insert_data(
+                DataType::OccupancyGrid,
+                vec![k as i64; 4],
+                grid_quality(SimTime::from_millis(k)),
+            );
+        }
+        let stored: Vec<u64> = n.store.keys().copied().collect();
+        let mut live: Vec<u64> = n.catalog.iter().map(|i| i.id.raw()).collect();
+        live.sort_unstable();
+        assert_eq!(live.len(), 64, "the catalog is full");
+        assert_eq!(stored, live, "exactly the evicted payloads are gone");
     }
 }

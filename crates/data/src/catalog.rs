@@ -160,13 +160,16 @@ impl DataCatalog {
         self.items.is_empty()
     }
 
-    /// Adds an item, evicting the oldest if full. Returns the assigned id.
+    /// Adds an item, evicting the oldest if full. Returns the assigned id
+    /// and the id of the evicted item, if any, so a caller holding
+    /// per-item state can drop exactly that entry.
     pub fn insert(
         &mut self,
         data_type: DataType,
         size_bytes: u64,
         quality: QualityDescriptor,
-    ) -> DataItemId {
+    ) -> (DataItemId, Option<DataItemId>) {
+        let mut evicted = None;
         if self.items.len() >= self.capacity {
             let oldest = self
                 .items
@@ -175,7 +178,7 @@ impl DataCatalog {
                 .min_by_key(|(_, item)| item.quality.produced_at)
                 .map(|(i, _)| i)
                 .expect("catalog is non-empty when full");
-            self.items.swap_remove(oldest);
+            evicted = Some(self.items.swap_remove(oldest).id);
         }
         let id = DataItemId(self.next_id);
         self.next_id += 1;
@@ -186,7 +189,7 @@ impl DataCatalog {
             size_bytes,
             quality,
         });
-        id
+        (id, evicted)
     }
 
     /// Looks up an item by id.
@@ -276,7 +279,7 @@ mod tests {
     #[test]
     fn insert_find_get_remove_round_trip() {
         let mut cat = DataCatalog::new(10);
-        let id = cat.insert(DataType::DetectionList, 2048, quality_at(5));
+        let (id, _) = cat.insert(DataType::DetectionList, 2048, quality_at(5));
         assert_eq!(cat.len(), 1);
         assert_eq!(cat.get(id).unwrap().size_bytes, 2048);
         let hits = cat.find(
@@ -304,9 +307,11 @@ mod tests {
     #[test]
     fn ids_stay_unique_across_eviction() {
         let mut cat = DataCatalog::new(2);
-        let a = cat.insert(DataType::TrackList, 1, quality_at(1));
-        let b = cat.insert(DataType::TrackList, 1, quality_at(2));
-        let c = cat.insert(DataType::TrackList, 1, quality_at(3));
+        let (a, none) = cat.insert(DataType::TrackList, 1, quality_at(1));
+        let (b, _) = cat.insert(DataType::TrackList, 1, quality_at(2));
+        let (c, evicted) = cat.insert(DataType::TrackList, 1, quality_at(3));
+        assert_eq!(none, None);
+        assert_eq!(evicted, Some(a), "the oldest item is evicted and reported");
         assert_ne!(a, b);
         assert_ne!(b, c);
         assert_ne!(a, c);
@@ -317,7 +322,7 @@ mod tests {
         let now = SimTime::from_secs(10);
         let mut cat = DataCatalog::new(10);
         cat.insert(DataType::DetectionList, 1, quality_at(3)); // older
-        let fresh_id = cat.insert(DataType::DetectionList, 1, quality_at(9));
+        let (fresh_id, _) = cat.insert(DataType::DetectionList, 1, quality_at(9));
         cat.insert(DataType::OccupancyGrid, 1, quality_at(9)); // other type
         let hits = cat.find(&DataQuery::of_type(DataType::DetectionList), now);
         assert_eq!(hits.len(), 2);

@@ -123,7 +123,7 @@ mod tests {
         // Two identical items: the earlier id must win, repeatably.
         let mut cat = DataCatalog::new(4);
         let q = QualityDescriptor::basic(SimTime::from_secs(1), 0.9, 2.0);
-        let first = cat.insert(DataType::DetectionList, 10, q);
+        let (first, _) = cat.insert(DataType::DetectionList, 10, q);
         cat.insert(DataType::DetectionList, 10, q);
         let now = SimTime::from_secs(2);
         let (item, _) =

@@ -35,7 +35,7 @@ use airdnd_geo::Vec2;
 use airdnd_mesh::MeshConfig;
 use airdnd_radio::{DeliveryOutcome, NodeAddr, RadioMedium};
 use airdnd_sim::{percentile, SimDuration, SimRng, SimTime};
-use airdnd_task::{library, ResourceRequirements, TaskId, TaskSpec};
+use airdnd_task::{library, Program, ResourceRequirements, TaskId, TaskSpec};
 use airdnd_telemetry::{
     DropReason, EventKind, Phase, QueryTracer, RunTelemetry, Scope, StageBudget, TelemetryOptions,
 };
@@ -503,6 +503,9 @@ struct WorldState {
     /// must not rescan every obstacle on city-scale worlds.
     sensor_los: Vec<airdnd_geo::ObstacleIndex>,
     hidden_agents: Vec<Vec2>,
+    /// The perception kernel every AirDnD query ships, built and verified
+    /// once per run.
+    kernel: Program,
     schedule: FleetSchedule,
     schedule_cursor: usize,
     lifecycle_rng: SimRng,
@@ -677,19 +680,15 @@ impl WorldState {
                 ..Default::default()
             },
         };
-        TaskSpec::new(
-            id,
-            "corner-view",
-            library::burn_and_echo(self.cfg.task_compute_rounds).into_inner(),
-        )
-        .with_input(query)
-        .with_requirements(ResourceRequirements {
-            gas: self.task_gas(ego),
-            memory_bytes: 1 << 16,
-            input_bytes: 512,
-            output_bytes: cells as u64 * 8,
-            deadline: SimDuration::from_secs(1),
-        })
+        TaskSpec::new(id, "corner-view", self.kernel.clone())
+            .with_input(query)
+            .with_requirements(ResourceRequirements {
+                gas: self.task_gas(ego),
+                memory_bytes: 1 << 16,
+                input_bytes: 512,
+                output_bytes: cells as u64 * 8,
+                deadline: SimDuration::from_secs(1),
+            })
     }
 }
 
@@ -1497,6 +1496,7 @@ pub fn run_scenario_in_observed(
         sensor_stages,
         sensor_los,
         hidden_agents,
+        kernel: kernel.into_inner(),
         schedule,
         schedule_cursor: 0,
         lifecycle_rng,

@@ -17,7 +17,9 @@
 //!
 //! * [`spec`] — declarative task metadata: resource requirements, deadline,
 //!   priority and the Model-3 [`DataQuery`](airdnd_data::DataQuery) inputs,
-//! * [`vm`] — ISA, assembler, verifier and interpreter,
+//! * [`vm`] — ISA, assembler, verifier (which also lowers each program
+//!   once into basic blocks of pre-decoded ops) and the block-metered
+//!   interpreter,
 //! * [`library`] — ready-made perception kernels (occupancy-grid fusion,
 //!   detection thresholding, matrix multiply, checksums) used by examples
 //!   and benchmarks,

@@ -3,8 +3,29 @@
 //! Execution is fully deterministic: the same program, inputs and limits
 //! produce the same outputs and gas usage on any node — which is what lets
 //! AirDnD verify results by redundant execution (RQ3).
+//!
+//! [`execute`] runs the program's lowered form (see [`VerifiedProgram`]):
+//! it charges a whole basic block's gas and instruction count on entry,
+//! then runs the block's ops without touching the meter. The result is
+//! still exactly what a per-instruction meter gives, for every program and
+//! limit:
+//!
+//! * A block that fits the remaining gas cannot run out of gas anywhere
+//!   inside it. It either runs to its last instruction (a `Halt` always is
+//!   one) or stops at a trap, and a trap reports no gas or steps. The
+//!   other traps depend only on runtime values, which the ops check as the
+//!   instructions would, at the instruction's own `pc`.
+//! * A block that would cross `max_gas` is replayed from its first
+//!   instruction one original instruction at a time, from the identical
+//!   state, by the per-instruction reference semantics. The replay charges
+//!   each instruction before running it, so `OutOfGas`, or an earlier trap
+//!   or `Halt`, happens exactly where the reference puts it.
+//!
+//! Both paths share one set of machine helpers for every value-dependent
+//! check: memory addresses, input indices, divisors and the output limit.
 
 use super::isa::{gas_cost, Instr};
+use super::lower::{Bin, Lowered, Op};
 use super::verify::VerifiedProgram;
 use std::error::Error;
 use std::fmt;
@@ -94,6 +115,11 @@ impl Error for Trap {}
 
 /// Executes a verified program against `inputs`.
 ///
+/// Runs the program's lowered blocks, charging each block's gas and steps
+/// on entry. A block that would cross `limits.max_gas` is instead replayed
+/// one original instruction at a time from its first instruction, so the
+/// trap lands exactly where a per-instruction meter would put it.
+///
 /// # Errors
 ///
 /// Returns a [`Trap`] on any runtime failure; see the trap variants.
@@ -102,207 +128,274 @@ pub fn execute(
     inputs: &[i64],
     limits: ExecLimits,
 ) -> Result<Execution, Trap> {
-    let code = program.program().code();
-    let mem_words = program.program().memory_words() as usize;
-    let mut memory = vec![0i64; mem_words];
-    let mut stack: Vec<i64> = Vec::with_capacity(program.max_stack() as usize);
-    let mut outputs = Vec::new();
-    let mut pc = 0usize;
-    let mut gas: u64 = 0;
-    let mut steps: u64 = 0;
-
-    // Stack pops are safe without checks: the verifier proved heights.
-    macro_rules! pop {
-        () => {
-            stack.pop().expect("verified program cannot underflow")
+    let Lowered { blocks, ops } = program.lowered();
+    let mut m = Machine::new(program, inputs, limits);
+    let mut block = 0usize;
+    loop {
+        let entry = blocks[block];
+        // `m.gas <= max_gas` always holds, so the subtraction cannot wrap.
+        if u64::from(entry.gas) > limits.max_gas - m.gas {
+            return m.run_from(program.program().code(), entry.pc as usize);
+        }
+        m.gas += u64::from(entry.gas);
+        m.steps += u64::from(entry.steps);
+        let mut i = entry.op as usize;
+        block = loop {
+            let op = ops[i];
+            i += 1;
+            match op {
+                Op::Push(c) => m.push(c),
+                Op::Pop => {
+                    m.pop();
+                }
+                Op::Dup => m.dup(),
+                Op::Swap => m.swap(),
+                Op::Over => m.over(),
+                Op::Neg => m.unary(i64::wrapping_neg),
+                Op::Abs => m.unary(i64::wrapping_abs),
+                Op::Not => m.unary(|a| !a),
+                Op::Bin { op, pc } => m.binary(op, pc as usize)?,
+                Op::Load { pc } => m.load(pc as usize)?,
+                Op::Store { pc } => m.store(pc as usize)?,
+                Op::Input { pc } => m.input(pc as usize)?,
+                Op::InputLen => m.push(inputs.len() as i64),
+                Op::Output { pc } => m.output(pc as usize)?,
+                Op::BinConst { op, c } => {
+                    let top = m.top();
+                    *top = op.eval(*top, c).expect("lowering fuses no zero divisor");
+                }
+                Op::LoadVar { addr } => m.push(m.memory[addr as usize]),
+                Op::StoreVar { addr } => {
+                    let v = m.pop();
+                    m.memory[addr as usize] = v;
+                }
+                Op::SetVar { addr, c } => m.memory[addr as usize] = c,
+                Op::AddVar { addr, c } => {
+                    let slot = &mut m.memory[addr as usize];
+                    *slot = slot.wrapping_add(c);
+                }
+                Op::Jump { to } => break to as usize,
+                Op::Branch { nonzero, to } => {
+                    break if (m.pop() != 0) == nonzero {
+                        to as usize
+                    } else {
+                        block + 1
+                    };
+                }
+                Op::CmpBranch { cmp, nonzero, to } => {
+                    let b = m.pop();
+                    let a = m.pop();
+                    let taken = cmp.eval(a, b).expect("comparisons never trap") != 0;
+                    break if taken == nonzero {
+                        to as usize
+                    } else {
+                        block + 1
+                    };
+                }
+                Op::Halt => return Ok(m.finish()),
+            }
         };
     }
+}
 
-    while pc < code.len() {
+/// Executes one original instruction at a time from the start: the
+/// reference the lowered interpreter must match exactly.
+#[cfg(test)]
+pub(super) fn execute_stepwise(
+    program: &VerifiedProgram,
+    inputs: &[i64],
+    limits: ExecLimits,
+) -> Result<Execution, Trap> {
+    Machine::new(program, inputs, limits).run_from(program.program().code(), 0)
+}
+
+/// Interpreter state shared by the block loop and [`Machine::step`]. Both
+/// go through the same helpers, so an op and the instructions it stands
+/// for compute the same values and traps.
+struct Machine<'a> {
+    /// The operand stack is `stack[..sp]`; its length is the proven
+    /// maximum height, so it never grows.
+    stack: Vec<i64>,
+    sp: usize,
+    memory: Vec<i64>,
+    inputs: &'a [i64],
+    outputs: Vec<i64>,
+    limits: ExecLimits,
+    gas: u64,
+    steps: u64,
+}
+
+// The helpers are forced inline: the block loop only keeps the machine in
+// registers when none of its fields escapes into a call.
+impl<'a> Machine<'a> {
+    fn new(program: &VerifiedProgram, inputs: &'a [i64], limits: ExecLimits) -> Self {
+        Machine {
+            stack: vec![0; program.max_stack() as usize],
+            sp: 0,
+            memory: vec![0; program.program().memory_words() as usize],
+            inputs,
+            outputs: Vec::new(),
+            limits,
+            gas: 0,
+            steps: 0,
+        }
+    }
+
+    fn finish(self) -> Execution {
+        Execution {
+            outputs: self.outputs,
+            gas_used: self.gas,
+            steps: self.steps,
+        }
+    }
+
+    // Stack accesses need no checks of their own: the verifier proved
+    // every height, so `sp` stays within `0..=stack.len()`.
+    #[inline(always)]
+    fn push(&mut self, v: i64) {
+        self.stack[self.sp] = v;
+        self.sp += 1;
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> i64 {
+        self.sp -= 1;
+        self.stack[self.sp]
+    }
+
+    #[inline(always)]
+    fn top(&mut self) -> &mut i64 {
+        &mut self.stack[self.sp - 1]
+    }
+
+    #[inline(always)]
+    fn dup(&mut self) {
+        let a = *self.top();
+        self.push(a);
+    }
+
+    #[inline(always)]
+    fn swap(&mut self) {
+        self.stack.swap(self.sp - 1, self.sp - 2);
+    }
+
+    #[inline(always)]
+    fn over(&mut self) {
+        let a = self.stack[self.sp - 2];
+        self.push(a);
+    }
+
+    #[inline(always)]
+    fn unary(&mut self, f: impl FnOnce(i64) -> i64) {
+        let top = self.top();
+        *top = f(*top);
+    }
+
+    #[inline(always)]
+    fn binary(&mut self, op: Bin, pc: usize) -> Result<(), Trap> {
+        let b = self.pop();
+        let top = self.top();
+        *top = op.eval(*top, b).ok_or(Trap::DivByZero { pc })?;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn load(&mut self, pc: usize) -> Result<(), Trap> {
+        let addr = self.pop();
+        let Some(&v) = usize::try_from(addr).ok().and_then(|a| self.memory.get(a)) else {
+            return Err(Trap::MemOutOfBounds { pc, addr });
+        };
+        self.push(v);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn store(&mut self, pc: usize) -> Result<(), Trap> {
+        let addr = self.pop();
+        let value = self.pop();
+        let Some(slot) = usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.memory.get_mut(a))
+        else {
+            return Err(Trap::MemOutOfBounds { pc, addr });
+        };
+        *slot = value;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn input(&mut self, pc: usize) -> Result<(), Trap> {
+        let index = self.pop();
+        let Some(&v) = usize::try_from(index).ok().and_then(|i| self.inputs.get(i)) else {
+            return Err(Trap::InputOutOfBounds { pc, index });
+        };
+        self.push(v);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn output(&mut self, pc: usize) -> Result<(), Trap> {
+        let v = self.pop();
+        if self.outputs.len() >= self.limits.max_outputs {
+            return Err(Trap::OutputLimit { pc });
+        }
+        self.outputs.push(v);
+        Ok(())
+    }
+
+    /// Charges, counts and executes the original instruction `code[pc]`;
+    /// returns the next `pc`, or `None` once the program halts.
+    fn step(&mut self, code: &[Instr], pc: usize) -> Result<Option<usize>, Trap> {
         let instr = code[pc];
-        gas += gas_cost(instr);
-        if gas > limits.max_gas {
+        self.gas += gas_cost(instr);
+        if self.gas > self.limits.max_gas {
             return Err(Trap::OutOfGas {
-                limit: limits.max_gas,
+                limit: self.limits.max_gas,
             });
         }
-        steps += 1;
-        let mut next = pc + 1;
+        self.steps += 1;
         match instr {
-            Instr::Push(c) => stack.push(c),
+            Instr::Push(c) => self.push(c),
             Instr::Pop => {
-                pop!();
+                self.pop();
             }
-            Instr::Dup => {
-                let a = *stack.last().expect("verified");
-                stack.push(a);
-            }
-            Instr::Swap => {
-                let n = stack.len();
-                stack.swap(n - 1, n - 2);
-            }
-            Instr::Over => {
-                let a = stack[stack.len() - 2];
-                stack.push(a);
-            }
-            Instr::Add => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_add(b));
-            }
-            Instr::Sub => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_sub(b));
-            }
-            Instr::Mul => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_mul(b));
-            }
-            Instr::Div => {
-                let b = pop!();
-                let a = pop!();
-                if b == 0 {
-                    return Err(Trap::DivByZero { pc });
-                }
-                stack.push(a.wrapping_div(b));
-            }
-            Instr::Rem => {
-                let b = pop!();
-                let a = pop!();
-                if b == 0 {
-                    return Err(Trap::DivByZero { pc });
-                }
-                stack.push(a.wrapping_rem(b));
-            }
-            Instr::Neg => {
-                let a = pop!();
-                stack.push(a.wrapping_neg());
-            }
-            Instr::Abs => {
-                let a = pop!();
-                stack.push(a.wrapping_abs());
-            }
-            Instr::Min => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.min(b));
-            }
-            Instr::Max => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.max(b));
-            }
-            Instr::And => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a & b);
-            }
-            Instr::Or => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a | b);
-            }
-            Instr::Xor => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a ^ b);
-            }
-            Instr::Not => {
-                let a = pop!();
-                stack.push(!a);
-            }
-            Instr::Shl => {
-                let s = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_shl(s as u32 & 63));
-            }
-            Instr::Shr => {
-                let s = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_shr(s as u32 & 63));
-            }
-            Instr::Eq => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a == b) as i64);
-            }
-            Instr::Ne => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a != b) as i64);
-            }
-            Instr::Lt => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a < b) as i64);
-            }
-            Instr::Le => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a <= b) as i64);
-            }
-            Instr::Gt => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a > b) as i64);
-            }
-            Instr::Ge => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a >= b) as i64);
-            }
-            Instr::Jmp(t) => next = t as usize,
-            Instr::Jz(t) => {
-                if pop!() == 0 {
-                    next = t as usize;
+            Instr::Dup => self.dup(),
+            Instr::Swap => self.swap(),
+            Instr::Over => self.over(),
+            Instr::Neg => self.unary(i64::wrapping_neg),
+            Instr::Abs => self.unary(i64::wrapping_abs),
+            Instr::Not => self.unary(|a| !a),
+            Instr::Jmp(t) => return Ok(Some(t as usize)),
+            Instr::Jz(t) | Instr::Jnz(t) => {
+                if (self.pop() != 0) == matches!(instr, Instr::Jnz(_)) {
+                    return Ok(Some(t as usize));
                 }
             }
-            Instr::Jnz(t) => {
-                if pop!() != 0 {
-                    next = t as usize;
-                }
+            Instr::Load => self.load(pc)?,
+            Instr::Store => self.store(pc)?,
+            Instr::Input => self.input(pc)?,
+            Instr::InputLen => self.push(self.inputs.len() as i64),
+            Instr::Output => self.output(pc)?,
+            Instr::Halt => return Ok(None),
+            _ => {
+                let op = Bin::of(instr).expect("every other instruction is a binary operation");
+                self.binary(op, pc)?;
             }
-            Instr::Load => {
-                let addr = pop!();
-                let Some(&v) = usize::try_from(addr).ok().and_then(|a| memory.get(a)) else {
-                    return Err(Trap::MemOutOfBounds { pc, addr });
-                };
-                stack.push(v);
-            }
-            Instr::Store => {
-                let addr = pop!();
-                let value = pop!();
-                let Some(slot) = usize::try_from(addr).ok().and_then(|a| memory.get_mut(a)) else {
-                    return Err(Trap::MemOutOfBounds { pc, addr });
-                };
-                *slot = value;
-            }
-            Instr::Input => {
-                let index = pop!();
-                let Some(&v) = usize::try_from(index).ok().and_then(|i| inputs.get(i)) else {
-                    return Err(Trap::InputOutOfBounds { pc, index });
-                };
-                stack.push(v);
-            }
-            Instr::InputLen => stack.push(inputs.len() as i64),
-            Instr::Output => {
-                let v = pop!();
-                if outputs.len() >= limits.max_outputs {
-                    return Err(Trap::OutputLimit { pc });
-                }
-                outputs.push(v);
-            }
-            Instr::Halt => break,
         }
-        pc = next;
+        Ok(Some(pc + 1))
     }
-    Ok(Execution {
-        outputs,
-        gas_used: gas,
-        steps,
-    })
+
+    /// Runs original instructions one at a time from `pc` until the
+    /// program halts or traps.
+    fn run_from(mut self, code: &[Instr], mut pc: usize) -> Result<Execution, Trap> {
+        while pc < code.len() {
+            match self.step(code, pc)? {
+                Some(next) => pc = next,
+                None => break,
+            }
+        }
+        Ok(self.finish())
+    }
 }
 
 #[cfg(test)]

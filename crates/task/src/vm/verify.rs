@@ -12,8 +12,17 @@
 //! A [`VerifiedProgram`] is the proof-carrying result: the interpreter only
 //! accepts verified programs, so its hot loop can skip stack checks that
 //! the type system already guarantees happened.
+//!
+//! Verification also *lowers* the program, once, into the private form the
+//! interpreter runs: basic blocks with precomputed gas and instruction
+//! totals, a flat op array whose jumps name blocks, and superinstructions
+//! for the assembler's idioms (constant-address variable access,
+//! `Push c; <binop>`, `<cmp>; Jz/Jnz`). A node that verifies an offer
+//! once can then run it any number of times without decoding it again;
+//! see [`execute`](super::execute()) for why block metering stays exact.
 
 use super::isa::{Instr, Program, MAX_CODE_LEN, MAX_MEMORY_WORDS, MAX_STACK};
+use super::lower::{lower, Lowered};
 use std::error::Error;
 use std::fmt;
 
@@ -88,11 +97,13 @@ impl fmt::Display for VerifyError {
 
 impl Error for VerifyError {}
 
-/// A program that passed verification; the only thing the interpreter runs.
+/// A program that passed verification, together with its lowered form;
+/// the only thing the interpreter runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifiedProgram {
     program: Program,
     max_stack: u32,
+    lowered: Lowered,
 }
 
 impl VerifiedProgram {
@@ -110,9 +121,15 @@ impl VerifiedProgram {
     pub fn into_inner(self) -> Program {
         self.program
     }
+
+    /// The lowered form the interpreter runs.
+    pub(super) fn lowered(&self) -> &Lowered {
+        &self.lowered
+    }
 }
 
-/// Verifies a program; see the module docs for what is proven.
+/// Verifies a program and lowers it for execution; see the module docs for
+/// what is proven.
 ///
 /// # Errors
 ///
@@ -185,9 +202,11 @@ pub fn verify(program: Program) -> Result<VerifiedProgram, VerifyError> {
             _ => merge(&mut heights, &mut worklist, pc + 1, after)?,
         }
     }
+    let lowered = lower(code, program.memory_words());
     Ok(VerifiedProgram {
         program,
         max_stack: max_seen,
+        lowered,
     })
 }
 
