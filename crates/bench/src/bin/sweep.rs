@@ -353,7 +353,7 @@ fn main() {
         run_explain(&args);
         return;
     }
-    std::fs::create_dir_all(&args.out).expect("can create the output directory");
+    std::fs::create_dir_all(&args.out).unwrap_or_else(|e| fail("create", &args.out, e));
     let started = Instant::now();
     let mode = if let Some(path) = &args.trace_out {
         run_trace_out(&args, path);
@@ -439,19 +439,19 @@ fn run_trace_out(args: &Args, path: &std::path::Path) {
     };
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("can create the trace directory");
+            std::fs::create_dir_all(parent).unwrap_or_else(|e| fail("create", parent, e));
         }
     }
-    std::fs::write(path, &jsonl).expect("can write the JSONL event log");
+    std::fs::write(path, &jsonl).unwrap_or_else(|e| fail("write", path, e));
     let spans_path = sibling_path(path, ".spans.jsonl");
-    std::fs::write(&spans_path, &spans_jsonl).expect("can write the span log");
+    std::fs::write(&spans_path, &spans_jsonl).unwrap_or_else(|e| fail("write", &spans_path, e));
     let timeline = export::to_chrome_trace_full(&events, spans, workload.name());
     let timeline_path = sibling_path(path, ".trace.json");
     std::fs::write(
         &timeline_path,
         serde_json::to_string_pretty(&timeline).expect("serializes") + "\n",
     )
-    .expect("can write the timeline");
+    .unwrap_or_else(|e| fail("write", &timeline_path, e));
     eprintln!(
         "[{}] {count} events -> {} (validated), {span_count} spans -> {} (validated),\n\
          \x20 timeline -> {}, {} evicted by ring bounds",
@@ -478,10 +478,7 @@ fn sibling_path(path: &std::path::Path, suffix: &str) -> PathBuf {
 /// `parent`/`follows_from` reference present, causal order respected, no
 /// cycles. Exits nonzero naming the first violation.
 fn validate_trace_file(path: &std::path::Path) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {}: {e}", path.display());
-        std::process::exit(1);
-    });
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail("read", path, e));
     match airdnd_telemetry::export::validate_jsonl(&text) {
         Ok(count) => println!("{}: {count} events, valid", path.display()),
         Err(e) => {
@@ -491,10 +488,8 @@ fn validate_trace_file(path: &std::path::Path) {
     }
     let spans_path = sibling_path(path, ".spans.jsonl");
     if spans_path.exists() {
-        let spans_text = std::fs::read_to_string(&spans_path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {}: {e}", spans_path.display());
-            std::process::exit(1);
-        });
+        let spans_text =
+            std::fs::read_to_string(&spans_path).unwrap_or_else(|e| fail("read", &spans_path, e));
         match airdnd_telemetry::export::validate_spans_jsonl(&spans_text) {
             Ok(count) => println!("{}: {count} spans, well-formed", spans_path.display()),
             Err(e) => {
@@ -645,10 +640,10 @@ fn run_full(args: &Args) {
 fn emit(out: &std::path::Path, output: &WorkloadOutput) {
     print!("{}", output.result.table.render());
     let (json_path, csv_path) =
-        write_report(out, &output.aggregate).expect("can write sweep artifacts");
+        write_report(out, &output.aggregate).unwrap_or_else(|e| fail("write to", out, e));
     let result_path = out.join(format!("{}.result.json", output.name));
     let result = serde_json::to_string_pretty(&output.result).expect("results serialize");
-    write_atomic(&result_path, result + "\n").expect("can write the experiment result");
+    write_atomic(&result_path, result + "\n").unwrap_or_else(|e| fail("write", &result_path, e));
     eprintln!(
         "  -> {}\n  -> {}\n  -> {}\n",
         json_path.display(),
@@ -696,7 +691,7 @@ fn run_shards(args: &Args, shard: Shard) {
             eprintln!("injected torn artifact: {} truncated", path.display());
             std::process::exit(4);
         }
-        write_atomic(&path, &text).expect("can write shard artifact");
+        write_atomic(&path, &text).unwrap_or_else(|e| fail("write", &path, e));
         eprintln!(
             "  -> {} ({} runs)\n",
             path.display(),
@@ -734,14 +729,10 @@ fn run_merge(args: &Args, dirs: &[PathBuf]) {
 /// or an artifact that does not parse, ends the process with exit 1 and
 /// names the path.
 fn load_artifacts(name: &str, dirs: &[PathBuf]) -> Vec<ShardArtifact> {
-    let fail = |what: &str, path: &std::path::Path, e: &dyn std::fmt::Display| -> ! {
-        eprintln!("error: cannot {what} {}: {e}", path.display());
-        std::process::exit(1);
-    };
     let prefix = format!("{name}.shard");
     let mut artifacts = Vec::new();
     for dir in dirs {
-        let entries = std::fs::read_dir(dir).unwrap_or_else(|e| fail("read merge dir", dir, &e));
+        let entries = std::fs::read_dir(dir).unwrap_or_else(|e| fail("read merge dir", dir, e));
         let mut files: Vec<PathBuf> = entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| {
@@ -752,12 +743,20 @@ fn load_artifacts(name: &str, dirs: &[PathBuf]) -> Vec<ShardArtifact> {
             .collect();
         files.sort();
         for file in files {
-            let text = std::fs::read_to_string(&file).unwrap_or_else(|e| fail("read", &file, &e));
-            let artifact = parse_shard(&text).unwrap_or_else(|e| fail("parse", &file, &e));
+            let text = std::fs::read_to_string(&file).unwrap_or_else(|e| fail("read", &file, e));
+            let artifact = parse_shard(&text).unwrap_or_else(|e| fail("parse", &file, e));
             artifacts.push(artifact);
         }
     }
     artifacts
+}
+
+/// Ends the process with exit 1 after printing
+/// `error: cannot <what> <path>: <e>` — the one way a path the user named
+/// (an output to create or write, an input to read or parse) fails.
+fn fail(what: &str, path: &std::path::Path, e: impl std::fmt::Display) -> ! {
+    eprintln!("error: cannot {what} {}: {e}", path.display());
+    std::process::exit(1);
 }
 
 /// Deletes `<name>.shard<i>of<n>.json` artifacts whose `n` is not this
@@ -822,7 +821,7 @@ fn run_drive(args: &Args) {
         purge_foreign_splits(&args.out, name, shard_count);
     }
     let logs_dir = args.out.join("drive-logs");
-    std::fs::create_dir_all(&logs_dir).expect("can create the drive log directory");
+    std::fs::create_dir_all(&logs_dir).unwrap_or_else(|e| fail("create", &logs_dir, e));
 
     // A shard is complete iff every selected workload's artifact exists,
     // parses, matches the current grid fingerprint, and covers exactly its

@@ -85,15 +85,19 @@ fn trace_rejects_other_single_run_modes() {
 }
 
 /// `--merge` over bad input exits 1 and names the offending path, the way
-/// a failed merge does, instead of panicking.
+/// a failed merge does, instead of panicking. Bad input includes nesting
+/// deep enough to overflow a recursive parser's stack.
 #[test]
 fn merge_rejects_bad_input_without_panicking() {
     let torn = temp_dir("torn");
     let artifact = torn.join("f2.shard0of2.json");
     std::fs::write(&artifact, "{\"workload\": \"f2\", \"shard_in").expect("can write");
     let missing = temp_dir("missing").join("no-such-dir");
+    let deep = temp_dir("deep");
+    let nested = deep.join("f2.shard1of2.json");
+    std::fs::write(&nested, "[".repeat(100_000) + "\n").expect("can write");
     let out = temp_dir("bad-merge-out");
-    for (dir, named) in [(&torn, &artifact), (&missing, &missing)] {
+    for (dir, named) in [(&torn, &artifact), (&missing, &missing), (&deep, &nested)] {
         let output = sweep(&[
             "--quick",
             "--merge",
@@ -107,9 +111,43 @@ fn merge_rejects_bad_input_without_panicking() {
         assert!(stderr.contains(path_str(named)), "{dir:?}:\n{stderr}");
         assert!(!stderr.contains("panicked"), "{dir:?}:\n{stderr}");
     }
-    for dir in [&torn, missing.parent().expect("has a parent"), &out] {
+    for dir in [&torn, missing.parent().expect("has a parent"), &deep, &out] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// An output path that cannot be created, here one under a regular file,
+/// exits 1 and names the path instead of panicking: `--out` before any
+/// run, `--trace-out` after its run.
+#[test]
+fn unwritable_output_paths_exit_without_panicking() {
+    let dir = temp_dir("unwritable");
+    let file = dir.join("regular-file");
+    std::fs::write(&file, "not a directory").expect("can write");
+    let out = file.join("sub");
+    let events = file.join("t.jsonl");
+    for args in [
+        &["--quick", "--out", path_str(&out), "f2"][..],
+        &[
+            "--quick",
+            "--out",
+            path_str(&dir),
+            "--trace-out",
+            path_str(&events),
+            "g3",
+        ],
+    ] {
+        let output = sweep(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(
+            stderr.contains("error: cannot create"),
+            "{args:?}:\n{stderr}"
+        );
+        assert!(stderr.contains(path_str(&file)), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The default mode and a sharded run merged back write the same

@@ -15,9 +15,7 @@
 //!   quality" selection criterion),
 //! * [`catalog`] — the per-node inventory of data items and the compact
 //!   summaries beaconed into the mesh,
-//! * [`matching`] — query-against-catalog scoring used by node selection,
-//! * [`semantic`] — capability-taxonomy matching between heterogeneous
-//!   systems (the research plan's Goal 3, implemented as an extension).
+//! * [`matching`] — query-against-catalog scoring used by node selection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +24,6 @@ pub mod catalog;
 pub mod matching;
 pub mod quality;
 pub mod schema;
-pub mod semantic;
 
 pub use catalog::{CatalogSummary, DataCatalog, DataItem, DataItemId};
 pub use matching::{best_match, match_score};

@@ -118,11 +118,6 @@ impl<E> Timeline<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Due time of the earliest queued event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|q| q.time)
-    }
-
     /// Pops the earliest event if it is due at or before `horizon`,
     /// advancing the clock to its due time. Returns `None` when the queue
     /// is empty or the next event lies beyond the horizon (the clock is

@@ -8,13 +8,10 @@
 //! * [`road`] — road networks with lanes, intersections and shortest-path
 //!   routes (the "looking around the corner" scenario is a four-way
 //!   intersection built here),
-//! * [`mobility`] — vehicle motion: constant velocity, route following with
-//!   an IDM car-following speed profile, and random waypoint for generic
-//!   edge devices,
+//! * [`mobility`] — vehicle motion: parked nodes and route following with
+//!   an IDM car-following speed profile,
 //! * [`occlusion`] — axis-aligned obstacles and line-of-sight tests (corner
-//!   buildings are what make "looking around the corner" necessary),
-//! * [`fov`] — sensor field-of-view cones combining range, angle and
-//!   occlusion.
+//!   buildings are what make "looking around the corner" necessary).
 //!
 //! The paper's scaled-vehicle testbed (Revere lab) is replaced by these
 //! kinematic models; see `DESIGN.md` §3 for why this preserves the
@@ -35,13 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fov;
 pub mod mobility;
 pub mod occlusion;
 pub mod road;
 pub mod vec2;
 
-pub use fov::SensorFov;
 pub use mobility::{IdmParams, Mobility, VehicleState};
 pub use occlusion::{Aabb, Obstacle, ObstacleIndex, World};
 pub use road::{NodeId, RoadNetwork, Route};

@@ -1,24 +1,17 @@
 //! Vehicle and device mobility models.
 //!
-//! Three models cover the paper's scenarios:
+//! Two models cover the paper's scenarios:
 //!
 //! * [`Mobility::fixed`] — parked vehicles / roadside units,
-//! * [`Mobility::constant_velocity`] — simple straight-line motion (also the
-//!   predictor used by the orchestrator's in-range-time estimate),
 //! * [`Mobility::route`] — follows a [`Route`] with an IDM (Intelligent
 //!   Driver Model, Treiber et al. 2000) speed profile and optional leader
-//!   coupling,
-//! * [`Mobility::random_waypoint`] — the classic model for generic edge
-//!   devices.
+//!   coupling.
 //!
-//! All models advance with [`Mobility::step`] on a fixed tick and expose a
-//! [`VehicleState`]; determinism comes from the forked [`SimRng`] owned by
-//! the random-waypoint model.
+//! Both advance with [`Mobility::step`] on a fixed tick and expose a
+//! [`VehicleState`].
 
-use crate::occlusion::Aabb;
 use crate::road::Route;
 use crate::vec2::Vec2;
-use airdnd_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
 /// Instantaneous kinematic state of a node.
@@ -177,97 +170,14 @@ impl RouteFollower {
     }
 }
 
-/// Random-waypoint motion inside a rectangular area.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RandomWaypoint {
-    area: Aabb,
-    pos: Vec2,
-    target: Vec2,
-    speed: f64,
-    speed_range: (f64, f64),
-    rng: SimRng,
-}
-
-impl RandomWaypoint {
-    /// Creates a walker inside `area` with speeds drawn uniformly from
-    /// `speed_range`; `rng` should be forked per entity for determinism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the speed range is empty or non-positive.
-    pub fn new(area: Aabb, speed_range: (f64, f64), mut rng: SimRng) -> Self {
-        assert!(
-            speed_range.0 > 0.0 && speed_range.1 >= speed_range.0,
-            "speed range must be positive and non-empty"
-        );
-        let pos = Self::sample_point(&area, &mut rng);
-        let target = Self::sample_point(&area, &mut rng);
-        let speed = Self::sample_speed(speed_range, &mut rng);
-        RandomWaypoint {
-            area,
-            pos,
-            target,
-            speed,
-            speed_range,
-            rng,
-        }
-    }
-
-    fn sample_point(area: &Aabb, rng: &mut SimRng) -> Vec2 {
-        let x = area.min().x + rng.next_f64() * (area.max().x - area.min().x);
-        let y = area.min().y + rng.next_f64() * (area.max().y - area.min().y);
-        Vec2::new(x, y)
-    }
-
-    fn sample_speed(range: (f64, f64), rng: &mut SimRng) -> f64 {
-        range.0 + rng.next_f64() * (range.1 - range.0)
-    }
-
-    fn step(&mut self, dt: f64) {
-        let mut remaining = self.speed * dt;
-        // May pass through several waypoints in one tick at large dt.
-        while remaining > 0.0 {
-            let to_target = self.target - self.pos;
-            let dist = to_target.norm();
-            if dist <= remaining {
-                self.pos = self.target;
-                remaining -= dist;
-                self.target = Self::sample_point(&self.area, &mut self.rng);
-                self.speed = Self::sample_speed(self.speed_range, &mut self.rng);
-                if remaining <= 1e-12 {
-                    break;
-                }
-            } else {
-                self.pos += to_target / dist * remaining;
-                break;
-            }
-        }
-    }
-
-    fn state(&self) -> VehicleState {
-        let heading = (self.target - self.pos)
-            .normalized()
-            .map_or(0.0, |d| d.angle());
-        VehicleState {
-            pos: self.pos,
-            speed: self.speed,
-            heading,
-        }
-    }
-}
-
 /// A node's mobility model. Construct with the provided constructors and
 /// advance with [`Mobility::step`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Mobility {
     /// Never moves.
     Fixed(VehicleState),
-    /// Straight-line constant-velocity motion.
-    ConstantVelocity(VehicleState),
     /// Route following with IDM.
     Route(RouteFollower),
-    /// Random waypoint within an area.
-    RandomWaypoint(RandomWaypoint),
 }
 
 impl Mobility {
@@ -280,23 +190,9 @@ impl Mobility {
         })
     }
 
-    /// Straight-line motion from `pos` with velocity `vel`.
-    pub fn constant_velocity(pos: Vec2, vel: Vec2) -> Self {
-        Mobility::ConstantVelocity(VehicleState {
-            pos,
-            speed: vel.norm(),
-            heading: vel.normalized().map_or(0.0, |d| d.angle()),
-        })
-    }
-
     /// Route following; see [`RouteFollower`].
     pub fn route(route: Route, initial_speed: f64, idm: IdmParams) -> Self {
         Mobility::Route(RouteFollower::new(route, initial_speed, idm))
-    }
-
-    /// Random waypoint; see [`RandomWaypoint`].
-    pub fn random_waypoint(area: Aabb, speed_range: (f64, f64), rng: SimRng) -> Self {
-        Mobility::RandomWaypoint(RandomWaypoint::new(area, speed_range, rng))
     }
 
     /// Advances the model by `dt` seconds.
@@ -308,20 +204,15 @@ impl Mobility {
         assert!(dt.is_finite() && dt >= 0.0, "dt must be non-negative");
         match self {
             Mobility::Fixed(_) => {}
-            Mobility::ConstantVelocity(s) => {
-                s.pos += s.velocity() * dt;
-            }
             Mobility::Route(f) => f.step(dt),
-            Mobility::RandomWaypoint(w) => w.step(dt),
         }
     }
 
     /// Current kinematic state.
     pub fn state(&self) -> VehicleState {
         match self {
-            Mobility::Fixed(s) | Mobility::ConstantVelocity(s) => *s,
+            Mobility::Fixed(s) => *s,
             Mobility::Route(f) => f.state(),
-            Mobility::RandomWaypoint(w) => w.state(),
         }
     }
 
@@ -338,15 +229,6 @@ impl Mobility {
             _ => None,
         }
     }
-
-    /// Predicts the position `horizon` seconds ahead assuming current
-    /// velocity persists — the estimator the orchestrator uses for
-    /// in-range-time scoring (it intentionally ignores route curvature;
-    /// short horizons dominate).
-    pub fn predict_pos(&self, horizon: f64) -> Vec2 {
-        let s = self.state();
-        s.pos + s.velocity() * horizon
-    }
 }
 
 #[cfg(test)]
@@ -360,14 +242,6 @@ mod tests {
         m.step(10.0);
         assert_eq!(m.pos(), Vec2::new(1.0, 2.0));
         assert_eq!(m.state().speed, 0.0);
-    }
-
-    #[test]
-    fn constant_velocity_integrates() {
-        let mut m = Mobility::constant_velocity(Vec2::ZERO, Vec2::new(3.0, 4.0));
-        m.step(2.0);
-        assert_eq!(m.pos(), Vec2::new(6.0, 8.0));
-        assert_eq!(m.state().speed, 5.0);
     }
 
     #[test]
@@ -453,46 +327,6 @@ mod tests {
         let vf = follower.state().speed;
         let vfree = free.state().speed;
         assert!(vf < vfree - 1.0, "follower {vf} vs free {vfree}");
-    }
-
-    #[test]
-    fn random_waypoint_stays_in_area() {
-        let area = Aabb::from_center_size(Vec2::ZERO, 100.0, 100.0);
-        let mut m = Mobility::random_waypoint(area, (1.0, 5.0), SimRng::seed_from(1));
-        for _ in 0..5000 {
-            m.step(0.5);
-            let p = m.pos();
-            assert!(area.expanded(1e-9).contains(p), "escaped to {p}");
-        }
-    }
-
-    #[test]
-    fn random_waypoint_is_deterministic_per_seed() {
-        let area = Aabb::from_center_size(Vec2::ZERO, 50.0, 50.0);
-        let mut a = Mobility::random_waypoint(area, (1.0, 2.0), SimRng::seed_from(9));
-        let mut b = Mobility::random_waypoint(area, (1.0, 2.0), SimRng::seed_from(9));
-        for _ in 0..100 {
-            a.step(1.0);
-            b.step(1.0);
-        }
-        assert_eq!(a.pos(), b.pos());
-    }
-
-    #[test]
-    fn random_waypoint_actually_moves() {
-        let area = Aabb::from_center_size(Vec2::ZERO, 100.0, 100.0);
-        let mut m = Mobility::random_waypoint(area, (2.0, 2.0), SimRng::seed_from(3));
-        let start = m.pos();
-        m.step(10.0);
-        assert!(m.pos().distance(start) > 1.0);
-    }
-
-    #[test]
-    fn predict_pos_linear_extrapolation() {
-        let m = Mobility::constant_velocity(Vec2::new(1.0, 1.0), Vec2::new(2.0, 0.0));
-        assert_eq!(m.predict_pos(3.0), Vec2::new(7.0, 1.0));
-        let f = Mobility::fixed(Vec2::new(4.0, 4.0));
-        assert_eq!(f.predict_pos(100.0), Vec2::new(4.0, 4.0));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The "looking around the corner" scenario plays out on a small road graph;
 //! [`RoadNetwork::four_way_intersection`] builds the canonical map used by
-//! the evaluation, and [`RoadNetwork::manhattan_grid`] provides larger urban
-//! fabrics for scalability experiments. Routing minimizes free-flow travel
-//! time (length / speed limit) with Dijkstra's algorithm.
+//! the evaluation; larger urban fabrics are wired lane by lane with
+//! [`RoadNetwork::add_road`] (the `airdnd-worldgen` map families do this).
+//! Routing minimizes free-flow travel time (length / speed limit) with
+//! Dijkstra's algorithm.
 
 use crate::vec2::Vec2;
 use serde::{Deserialize, Serialize};
@@ -180,39 +181,6 @@ impl RoadNetwork {
                 .expect("freshly created nodes are valid");
             net.arms.push(end);
         }
-        net
-    }
-
-    /// A `cols` × `rows` Manhattan grid with `spacing` metres between
-    /// junctions, all streets two-way at `speed_limit` m/s. Used by the
-    /// scalability experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols` or `rows` is zero.
-    pub fn manhattan_grid(cols: usize, rows: usize, spacing: f64, speed_limit: f64) -> Self {
-        assert!(cols > 0 && rows > 0, "grid must be non-empty");
-        let mut net = RoadNetwork::new();
-        let mut ids = Vec::with_capacity(cols * rows);
-        for r in 0..rows {
-            for c in 0..cols {
-                ids.push(net.add_node(Vec2::new(c as f64 * spacing, r as f64 * spacing)));
-            }
-        }
-        for r in 0..rows {
-            for c in 0..cols {
-                let here = ids[r * cols + c];
-                if c + 1 < cols {
-                    net.add_road(here, ids[r * cols + c + 1], speed_limit)
-                        .expect("valid grid nodes");
-                }
-                if r + 1 < rows {
-                    net.add_road(here, ids[(r + 1) * cols + c], speed_limit)
-                        .expect("valid grid nodes");
-                }
-            }
-        }
-        net.arms = ids;
         net
     }
 
@@ -553,19 +521,6 @@ mod tests {
             Err(BuildRoadError::InvalidSpeed(_))
         ));
         assert!(net.add_lane(a, b, 10.0).is_ok());
-    }
-
-    #[test]
-    fn manhattan_grid_shape() {
-        let net = RoadNetwork::manhattan_grid(4, 3, 50.0, 10.0);
-        assert_eq!(net.node_count(), 12);
-        // Horizontal: 3 per row * 3 rows; vertical: 4 per column-pair * 2 = 8... each two-way.
-        assert_eq!(net.lane_count(), 2 * (3 * 3 + 4 * 2));
-        let r = net.route(NodeId(0), NodeId(11)).unwrap();
-        assert!(
-            (r.length() - 250.0).abs() < 1e-9,
-            "manhattan distance 5 hops"
-        );
     }
 
     #[test]

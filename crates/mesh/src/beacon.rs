@@ -60,8 +60,9 @@ pub struct Beacon {
     pub velocity: Vec2,
     /// Resource advertisement.
     pub advert: NodeAdvert,
-    /// Addresses this node currently considers mesh members (capped; used
-    /// for 2-hop relay discovery).
+    /// Addresses this node currently considers mesh members (capped at
+    /// [`MAX_BEACON_MEMBERS`]). No receiver reads them; they count toward
+    /// the beacon's [`wire_size_bytes`](Beacon::wire_size_bytes).
     pub members: Vec<NodeAddr>,
 }
 

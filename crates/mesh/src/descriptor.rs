@@ -30,14 +30,6 @@ pub struct MemberDescriptor {
     pub info_age: SimDuration,
 }
 
-impl MemberDescriptor {
-    /// Position extrapolated `horizon` seconds past the snapshot, assuming
-    /// constant velocity — the orchestrator's in-range predictor.
-    pub fn predicted_pos(&self, horizon: f64) -> Vec2 {
-        self.pos + self.velocity * horizon
-    }
-}
-
 /// The mesh snapshot (Model 1's "network description").
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MeshDescriptor {
@@ -192,12 +184,12 @@ mod tests {
     }
 
     #[test]
-    fn predicted_pos_extrapolates() {
+    fn capture_keeps_member_kinematics() {
         let node = handshaken_node();
         let d = MeshDescriptor::capture(&node, SimTime::from_millis(200));
         let m = d.member(NodeAddr::new(2)).unwrap();
-        let p = m.predicted_pos(2.0);
-        assert_eq!(p, Vec2::new(30.0, 0.0));
+        assert_eq!(m.pos, Vec2::new(50.0, 0.0));
+        assert_eq!(m.velocity, Vec2::new(-10.0, 0.0));
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! * **Description** ([`descriptor`]) — a [`MeshDescriptor`] snapshot is the
 //!   Model-1 artefact the orchestrator consumes: members, their adverts,
 //!   link qualities, staleness and churn estimates.
-//! * **Relay** ([`routing`]) — 2-hop next-hop selection through the
-//!   best-linked common neighbor when a direct link is poor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,10 +29,8 @@ pub mod beacon;
 pub mod descriptor;
 pub mod membership;
 pub mod neighbor;
-pub mod routing;
 
 pub use beacon::{Beacon, NodeAdvert};
 pub use descriptor::{MemberDescriptor, MeshDescriptor};
 pub use membership::{MeshAction, MeshConfig, MeshMsg, MeshNode};
 pub use neighbor::{NeighborEntry, NeighborTable};
-pub use routing::next_hop;

@@ -113,11 +113,6 @@ impl NeighborTable {
         self.entries.get(&addr).map_or(0.0, |e| e.link_quality)
     }
 
-    /// Iterates over all neighbors in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (&NodeAddr, &NeighborEntry)> {
-        self.entries.iter()
-    }
-
     /// Number of known neighbors.
     pub fn len(&self) -> usize {
         self.entries.len()

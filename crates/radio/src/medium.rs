@@ -238,22 +238,6 @@ impl RadioMedium {
         self.positions.len()
     }
 
-    /// Registered nodes within `radius` of `center` (excluding none),
-    /// in address order.
-    pub fn nodes_in_range(&self, center: Vec2, radius: f64) -> Vec<NodeAddr> {
-        let r2 = radius * radius;
-        let mut candidates = Vec::new();
-        self.positions
-            .candidates_into(center, radius, &mut candidates);
-        let mut out: Vec<NodeAddr> = candidates
-            .into_iter()
-            .filter(|(_, p)| p.distance_sq(center) <= r2)
-            .map(|(a, _)| a)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Total bytes ever put on the air.
     pub fn bytes_on_air_total(&self) -> u64 {
         self.total_bytes_on_air
@@ -691,15 +675,5 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
-    }
-
-    #[test]
-    fn nodes_in_range_filters_by_distance() {
-        let mut m = medium();
-        m.set_position(NodeAddr::new(1), Vec2::ZERO);
-        m.set_position(NodeAddr::new(2), Vec2::new(100.0, 0.0));
-        m.set_position(NodeAddr::new(3), Vec2::new(400.0, 0.0));
-        let near = m.nodes_in_range(Vec2::ZERO, 150.0);
-        assert_eq!(near.len(), 2);
     }
 }

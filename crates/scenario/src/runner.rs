@@ -137,9 +137,10 @@ const _: () = {
     assert_send_sync::<ScenarioReport>();
 };
 
-/// Chainable builder hooks, the vocabulary sweep axes are written in
-/// (`SweepSpec::axis("vehicles", ns, |cfg, &n| { cfg.set_vehicles(n); })`
-/// or inline struct updates both work; these keep axis closures terse).
+/// Chainable builder hooks for the fields workloads vary most
+/// (`ScenarioConfig::default().seeded(7).with_vehicles(12)`); set any
+/// other field with a struct update
+/// (`ScenarioConfig { vehicles: 8, ..Default::default() }`).
 impl ScenarioConfig {
     /// Sets the master seed.
     pub fn seeded(mut self, seed: u64) -> Self {
@@ -153,33 +154,9 @@ impl ScenarioConfig {
         self
     }
 
-    /// Sets the cooperation strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Sets the simulated duration.
     pub fn with_duration(mut self, duration: SimDuration) -> Self {
         self.duration = duration;
-        self
-    }
-
-    /// Sets the lane speed limit (the churn knob), m/s.
-    pub fn with_speed_limit(mut self, speed_limit: f64) -> Self {
-        self.speed_limit = speed_limit;
-        self
-    }
-
-    /// Sets the ego task period in ticks (the offered-load knob).
-    pub fn with_task_every_ticks(mut self, ticks: u32) -> Self {
-        self.task_every_ticks = ticks;
-        self
-    }
-
-    /// Sets the fraction of byzantine helpers.
-    pub fn with_byzantine_fraction(mut self, fraction: f64) -> Self {
-        self.byzantine_fraction = fraction;
         self
     }
 

@@ -23,7 +23,6 @@
 //! * [`library`] — ready-made perception kernels (occupancy-grid fusion,
 //!   detection thresholding, matrix multiply, checksums) used by examples
 //!   and benchmarks,
-//! * [`graph`] — task DAGs for multi-stage pipelines,
 //! * [`wire`] — a checksummed binary wire format for programs and specs.
 //!
 //! ## Example
@@ -43,12 +42,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod graph;
 pub mod library;
 pub mod spec;
 pub mod vm;
 pub mod wire;
 
-pub use graph::{StageId, TaskGraph};
 pub use spec::{Priority, ResourceRequirements, TaskId, TaskSpec};
 pub use vm::{Instr, Program, VerifiedProgram};

@@ -188,12 +188,6 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
     }
-
-    /// Worst-case gas if every instruction executed once — a cheap static
-    /// lower-bound sanity check for declared budgets (loops exceed it).
-    pub fn straight_line_gas(&self) -> u64 {
-        self.code.iter().map(|&i| gas_cost(i)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -213,15 +207,6 @@ mod tests {
         assert!(gas_cost(Instr::Mul) > gas_cost(Instr::Add));
         assert!(gas_cost(Instr::Load) > gas_cost(Instr::Add));
         assert_eq!(gas_cost(Instr::Halt), 0);
-    }
-
-    #[test]
-    fn straight_line_gas_sums() {
-        let p = Program::new(
-            vec![Instr::Push(1), Instr::Push(2), Instr::Mul, Instr::Output],
-            0,
-        );
-        assert_eq!(p.straight_line_gas(), 1 + 1 + 4 + 2);
     }
 
     #[test]

@@ -241,11 +241,6 @@ impl SpanLog {
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
-
-    /// Spans belonging to task `task`, in recording order.
-    pub fn for_task(&self, task: u64) -> Vec<&Span> {
-        self.spans.iter().filter(|s| s.task == task).collect()
-    }
 }
 
 /// Structural well-formedness of a span set: every span closed or

@@ -9,10 +9,9 @@
 //! * [`reputation`] — beta-distribution reputation scores that the node
 //!   selector blends in (nodes that return wrong results stop being
 //!   chosen),
-//! * [`verify`] — redundant-execution voting (plain and
-//!   reputation-weighted) plus deterministic spot-checking; TaskVM
-//!   execution is deterministic, so *any* honest re-execution exposes a
-//!   forged result,
+//! * [`verify`] — result digests and redundant-execution majority voting;
+//!   TaskVM execution is deterministic, so *any* honest re-execution
+//!   exposes a forged result,
 //! * [`privacy`] — ordered data-minimization levels and a generic policy
 //!   table gating what may be shared with whom.
 
@@ -27,4 +26,4 @@ pub mod verify;
 pub use hash::{sha256, Digest};
 pub use privacy::{PrivacyLevel, PrivacyPolicy};
 pub use reputation::{BetaReputation, ReputationTable};
-pub use verify::{digest_outputs, majority_vote, weighted_vote, SpotChecker, Verdict};
+pub use verify::{digest_outputs, majority_vote, Verdict};

@@ -2,17 +2,10 @@
 //!
 //! TaskVM is deterministic, so every honest executor of a task produces
 //! identical outputs. Integrity checking therefore reduces to comparing
-//! content digests:
-//!
-//! * [`majority_vote`] — unweighted quorum over executor digests,
-//! * [`weighted_vote`] — reputation-weighted quorum (a 0.9-score node
-//!   outvotes two 0.2-score colluders),
-//! * [`SpotChecker`] — deterministic sampling of results for local
-//!   re-execution when redundancy is too expensive to pay every time.
+//! content digests: [`digest_outputs`] hashes an output stream and
+//! [`majority_vote`] takes an unweighted quorum over executor digests.
 
 use crate::hash::{sha256, Digest};
-use crate::reputation::ReputationTable;
-use airdnd_sim::SimRng;
 use std::collections::BTreeMap;
 
 /// Digest of a TaskVM output stream (little-endian word encoding).
@@ -59,124 +52,38 @@ impl Verdict {
 ///
 /// Ties and empty inputs are [`Verdict::Inconclusive`].
 pub fn majority_vote(results: &[(u64, Digest)], min_votes: usize) -> Verdict {
-    vote_with_weights(results, |_| 1.0, min_votes as f64, 0.5)
-}
-
-/// Reputation-weighted vote: each executor's vote counts `score(node)`;
-/// a digest wins with more than `win_fraction` of the total weight and at
-/// least `min_weight` absolute weight.
-pub fn weighted_vote(
-    results: &[(u64, Digest)],
-    reputation: &ReputationTable,
-    min_weight: f64,
-    win_fraction: f64,
-) -> Verdict {
-    vote_with_weights(
-        results,
-        |node| reputation.score(node),
-        min_weight,
-        win_fraction,
-    )
-}
-
-fn vote_with_weights(
-    results: &[(u64, Digest)],
-    weight_of: impl Fn(u64) -> f64,
-    min_weight: f64,
-    win_fraction: f64,
-) -> Verdict {
     if results.is_empty() {
         return Verdict::Inconclusive { distinct: 0 };
     }
     let mut tally: BTreeMap<Digest, f64> = BTreeMap::new();
     let mut total = 0.0;
-    for &(node, digest) in results {
-        let w = weight_of(node).max(0.0);
-        *tally.entry(digest).or_insert(0.0) += w;
-        total += w;
+    for &(_, digest) in results {
+        *tally.entry(digest).or_insert(0.0) += 1.0;
+        total += 1.0;
     }
     let distinct = tally.len();
-    let Some((&winner, &weight)) = tally
+    let Some((&winner, &votes)) = tally
         .iter()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("weights are finite"))
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("vote counts are finite"))
     else {
         return Verdict::Inconclusive { distinct };
     };
-    if weight < min_weight || total <= 0.0 || weight / total <= win_fraction {
+    if votes < min_votes as f64 || total <= 0.0 || votes / total <= 0.5 {
         return Verdict::Inconclusive { distinct };
     }
-    let (agreeing, dissenting): (Vec<u64>, Vec<u64>) = {
-        let mut agree = Vec::new();
-        let mut dissent = Vec::new();
-        for &(node, digest) in results {
-            if digest == winner {
-                agree.push(node);
-            } else {
-                dissent.push(node);
-            }
+    let mut agreeing = Vec::new();
+    let mut dissenting = Vec::new();
+    for &(node, digest) in results {
+        if digest == winner {
+            agreeing.push(node);
+        } else {
+            dissenting.push(node);
         }
-        (agree, dissent)
-    };
+    }
     Verdict::Accepted {
         digest: winner,
         agreeing,
         dissenting,
-    }
-}
-
-/// Deterministic random spot-checking: re-execute a sampled fraction of
-/// results locally and compare digests.
-#[derive(Clone, Debug)]
-pub struct SpotChecker {
-    probability: f64,
-    rng: SimRng,
-    checks: u64,
-    caught: u64,
-}
-
-impl SpotChecker {
-    /// Creates a checker that samples each result with `probability`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probability` is outside `[0, 1]`.
-    pub fn new(probability: f64, rng: SimRng) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "probability must be in [0, 1]"
-        );
-        SpotChecker {
-            probability,
-            rng,
-            checks: 0,
-            caught: 0,
-        }
-    }
-
-    /// Decides whether this result should be re-executed locally.
-    pub fn should_check(&mut self) -> bool {
-        self.rng.chance(self.probability)
-    }
-
-    /// Compares a claimed digest against a local re-execution; records the
-    /// outcome and returns `true` if the claim was honest.
-    pub fn check(&mut self, claimed: Digest, recomputed: Digest) -> bool {
-        self.checks += 1;
-        let honest = claimed == recomputed;
-        if !honest {
-            self.caught += 1;
-        }
-        honest
-    }
-
-    /// Number of spot checks performed.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// Number of forged results caught.
-    pub fn caught(&self) -> u64 {
-        self.caught
     }
 }
 
@@ -250,56 +157,5 @@ mod tests {
     #[test]
     fn empty_vote_is_inconclusive() {
         assert_eq!(majority_vote(&[], 1), Verdict::Inconclusive { distinct: 0 });
-    }
-
-    #[test]
-    fn reputation_outweighs_colluders() {
-        let mut table = ReputationTable::new(0.98);
-        for _ in 0..20 {
-            table.record(1, true); // trusted node
-            table.record(2, false); // known-bad colluders
-            table.record(3, false);
-        }
-        let results = [(1, d(0)), (2, d(9)), (3, d(9))];
-        // Unweighted: the colluders would win 2-vs-1.
-        match majority_vote(&results, 1) {
-            Verdict::Accepted { digest, .. } => assert_eq!(digest, d(9)),
-            v => panic!("{v:?}"),
-        }
-        // Weighted: the trusted node's single vote dominates.
-        match weighted_vote(&results, &table, 0.5, 0.5) {
-            Verdict::Accepted {
-                digest, dissenting, ..
-            } => {
-                assert_eq!(digest, d(0));
-                assert_eq!(dissenting, vec![2, 3]);
-            }
-            v => panic!("{v:?}"),
-        }
-    }
-
-    #[test]
-    fn spot_checker_samples_at_configured_rate() {
-        let mut checker = SpotChecker::new(0.25, SimRng::seed_from(11));
-        let sampled = (0..10_000).filter(|_| checker.should_check()).count();
-        let rate = sampled as f64 / 10_000.0;
-        assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
-    }
-
-    #[test]
-    fn spot_checker_counts_catches() {
-        let mut checker = SpotChecker::new(1.0, SimRng::seed_from(1));
-        assert!(checker.check(d(0), d(0)));
-        assert!(!checker.check(d(0), d(1)));
-        assert_eq!(checker.checks(), 2);
-        assert_eq!(checker.caught(), 1);
-    }
-
-    #[test]
-    fn spot_checker_extremes() {
-        let mut never = SpotChecker::new(0.0, SimRng::seed_from(2));
-        assert!((0..100).all(|_| !never.should_check()));
-        let mut always = SpotChecker::new(1.0, SimRng::seed_from(3));
-        assert!((0..100).all(|_| always.should_check()));
     }
 }

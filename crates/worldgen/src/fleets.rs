@@ -10,7 +10,7 @@
 //! rent out.
 
 use airdnd_geo::Vec2;
-use airdnd_scenario::{DemandProfile, FleetAction, FleetEvent, FleetSchedule, ScenarioWorld};
+use airdnd_scenario::{FleetAction, FleetEvent, FleetSchedule, ScenarioWorld};
 use airdnd_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -58,10 +58,6 @@ impl FleetProfile {
 /// RNG fork tag separating the churn schedule from every other stream the
 /// scenario seed drives.
 const CHURN_TAG: u64 = 0xC4A1_4B2E;
-
-/// RNG fork tag for the demand-coupled arrival surge, distinct from
-/// [`CHURN_TAG`] so coupling never perturbs the base schedule's streams.
-const SURGE_TAG: u64 = 0x5_0C4E;
 
 /// A deterministic, seed-driven arrival/departure process: two Poisson
 /// streams (exponential inter-event times) that compile into the
@@ -159,61 +155,6 @@ impl ChurnProcess {
         }
         FleetSchedule::new(events)
     }
-
-    /// [`ChurnProcess::schedule`] with the arrival stream coupled to the
-    /// perception-demand profile: a [`DemandProfile::RushHour`] peak that
-    /// multiplies query pressure by `peak_divisor` also pulls extra traffic
-    /// into the map. The surge is an independent exponential stream at
-    /// `(peak_divisor - 1)×` the base arrival rate, confined to the peak
-    /// window and drawn from its own RNG fork — so the base schedule is
-    /// untouched: `peak_divisor == 1` (or any non-rush-hour profile)
-    /// returns exactly [`ChurnProcess::schedule`]'s events, byte for byte.
-    /// Like `schedule`, this is pure in `(self, duration_s, arms, seed,
-    /// demand)`.
-    pub fn schedule_with_demand(
-        &self,
-        duration_s: f64,
-        arms: usize,
-        seed: u64,
-        demand: &DemandProfile,
-    ) -> FleetSchedule {
-        let base = self.schedule(duration_s, arms, seed);
-        let DemandProfile::RushHour {
-            peak_start,
-            peak_end,
-            peak_divisor,
-        } = *demand
-        else {
-            return base;
-        };
-        let boost = u64::from(peak_divisor.max(1)) - 1;
-        if boost == 0 || self.arrivals_per_min <= 0.0 || duration_s <= 0.0 {
-            return base;
-        }
-        let window_start = peak_start.clamp(0.0, 1.0) * duration_s;
-        let window_end = peak_end.clamp(0.0, 1.0) * duration_s;
-        if window_end <= window_start {
-            return base;
-        }
-        // Surge arrivals fork their own stream so the base schedule stays
-        // identical whether or not demand coupling is on.
-        let mut rng = SimRng::seed_from(seed).fork(SURGE_TAG);
-        let mean = 60.0 / (self.arrivals_per_min * boost as f64);
-        let mut events = base.events;
-        let mut t = window_start + rng.exp(mean);
-        let mut k = 0usize;
-        while t < window_end && t < duration_s {
-            events.push(FleetEvent {
-                at_s: t,
-                action: FleetAction::Spawn {
-                    arm: k % arms.max(1),
-                },
-            });
-            k += 1;
-            t += rng.exp(mean);
-        }
-        FleetSchedule::new(events)
-    }
 }
 
 /// Fraction-spaced positions along the hidden corridor's long axis at a
@@ -282,83 +223,6 @@ mod tests {
         }
         assert!(a.events.iter().all(|e| e.at_s >= 0.0 && e.at_s < 60.0));
         assert!(ChurnProcess::none().schedule(60.0, 4, 7).is_empty());
-    }
-
-    #[test]
-    fn demand_coupling_surges_inside_the_peak_only() {
-        let churn = ChurnProcess::mild();
-        let rush = DemandProfile::RushHour {
-            peak_start: 0.25,
-            peak_end: 0.75,
-            peak_divisor: 4,
-        };
-        let base = churn.schedule(120.0, 4, 7);
-        let coupled = churn.schedule_with_demand(120.0, 4, 7, &rush);
-        // Extra arrivals only; departures are untouched.
-        assert!(coupled.spawn_count() > base.spawn_count());
-        assert_eq!(coupled.despawn_count(), base.despawn_count());
-        // Every event not in the base schedule is a spawn inside the window.
-        let mut extra = coupled.events.clone();
-        for e in &base.events {
-            let i = extra.iter().position(|x| x == e).expect("base preserved");
-            extra.remove(i);
-        }
-        assert!(!extra.is_empty());
-        for e in &extra {
-            assert!(matches!(e.action, FleetAction::Spawn { .. }));
-            assert!(e.at_s >= 0.25 * 120.0 && e.at_s < 0.75 * 120.0, "{e:?}");
-        }
-        // A unit divisor (or any non-rush-hour profile) is the base
-        // schedule, byte for byte.
-        let flat = DemandProfile::RushHour {
-            peak_start: 0.25,
-            peak_end: 0.75,
-            peak_divisor: 1,
-        };
-        assert_eq!(churn.schedule_with_demand(120.0, 4, 7, &flat), base);
-        assert_eq!(
-            churn.schedule_with_demand(120.0, 4, 7, &DemandProfile::Steady),
-            base
-        );
-    }
-
-    proptest::proptest! {
-        /// Seed determinism under demand coupling: the same `(seed, churn,
-        /// window, divisor)` always compiles the same schedule, distinct
-        /// seeds diverge (whenever the surge has any events), and the
-        /// schedule stays time-sorted inside the run.
-        #[test]
-        fn demand_coupled_schedule_is_pure_in_the_seed(
-            seed in 0u64..1_000,
-            arrivals in 1.0f64..30.0,
-            start in 0.0f64..0.8,
-            width in 0.1f64..0.2,
-            divisor in 1u32..6,
-        ) {
-            let churn = ChurnProcess {
-                arrivals_per_min: arrivals,
-                departures_per_min: arrivals / 2.0,
-                abrupt_fraction: 0.25,
-            };
-            let rush = DemandProfile::RushHour {
-                peak_start: start,
-                peak_end: start + width,
-                peak_divisor: divisor,
-            };
-            let a = churn.schedule_with_demand(90.0, 4, seed, &rush);
-            let b = churn.schedule_with_demand(90.0, 4, seed, &rush);
-            proptest::prop_assert_eq!(&a, &b);
-            for w in a.events.windows(2) {
-                proptest::prop_assert!(w[0].at_s <= w[1].at_s);
-            }
-            for e in &a.events {
-                proptest::prop_assert!(e.at_s >= 0.0 && e.at_s < 90.0);
-            }
-            let c = churn.schedule_with_demand(90.0, 4, seed + 1, &rush);
-            if !a.is_empty() || !c.is_empty() {
-                proptest::prop_assert_ne!(&a, &c);
-            }
-        }
     }
 
     #[test]

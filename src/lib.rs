@@ -13,7 +13,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`sim`] | `airdnd-sim` | virtual time, seeded RNG, statistics |
-//! | [`geo`] | `airdnd-geo` | roads, mobility, occlusion, field of view |
+//! | [`geo`] | `airdnd-geo` | roads, mobility, occlusion |
 //! | [`engine`] | `airdnd-engine` | event timeline, uniform spatial grid, fleet address map |
 //! | [`radio`] | `airdnd-radio` | V2V channel/MAC + cellular profiles |
 //! | [`data`] | `airdnd-data` | **Model 3** — data descriptions |
