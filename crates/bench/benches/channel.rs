@@ -2,8 +2,34 @@
 
 use airdnd_geo::{Vec2, World};
 use airdnd_radio::{NodeAddr, RadioMedium};
+use airdnd_scenario::ScenarioConfig;
 use airdnd_sim::{SimRng, SimTime};
+use airdnd_worldgen::{CityParams, FamilyKind, FleetProfile};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+
+/// The G5 4×4 city (map seed 117) with 640 nodes at seeded uniform
+/// positions over its obstacles' bounding box: a broadcast here walks the
+/// position grid and tests line of sight against city blocks, which the
+/// 50-node line past four buildings does not.
+fn city_medium(nodes: u64) -> RadioMedium {
+    let cfg = ScenarioConfig::default().seeded(117);
+    let family = FamilyKind::City(CityParams::with_districts(4, 4));
+    let world = family
+        .instantiate(&cfg, &FleetProfile::default())
+        .stage
+        .world;
+    let bounds = world.bounds().expect("a city has buildings");
+    let mut medium = RadioMedium::v2v(world, SimRng::seed_from(1));
+    let mut rng = SimRng::seed_from(2);
+    for i in 0..nodes {
+        let pos = Vec2::new(
+            bounds.min().x + rng.next_f64() * bounds.width(),
+            bounds.min().y + rng.next_f64() * bounds.height(),
+        );
+        medium.set_position(NodeAddr::new(i + 1), pos);
+    }
+    medium
+}
 
 fn bench_channel(c: &mut Criterion) {
     let mut group = c.benchmark_group("channel");
@@ -37,6 +63,18 @@ fn bench_channel(c: &mut Criterion) {
         b.iter(|| {
             t += 1;
             medium.broadcast(SimTime::from_micros(t * 500), NodeAddr::new(25), 200)
+        })
+    });
+
+    // Every node takes its turn as the sender.
+    let nodes = 640;
+    let mut city = city_medium(nodes);
+    let mut t = 0u64;
+    group.bench_function("broadcast_640_node_city", |b| {
+        b.iter(|| {
+            t += 1;
+            let src = NodeAddr::new(t % nodes + 1);
+            city.broadcast(SimTime::from_micros(t * 500), src, 200)
         })
     });
 

@@ -5,16 +5,17 @@ use airdnd_mesh::{Beacon, MeshConfig, MeshDescriptor, MeshMsg, MeshNode, NodeAdv
 use airdnd_radio::NodeAddr;
 use airdnd_sim::SimTime;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::rc::Rc;
 
-fn beacon(src: u64, seq: u64) -> Beacon {
-    Beacon {
+fn beacon(src: u64, seq: u64) -> Rc<Beacon> {
+    Rc::new(Beacon {
         src: NodeAddr::new(src),
         seq,
         pos: Vec2::new(src as f64 * 10.0, 0.0),
         velocity: Vec2::new(10.0, 0.0),
         advert: NodeAdvert::closed(),
         members: Vec::new(),
-    }
+    })
 }
 
 fn populated_node(peers: u64) -> MeshNode {

@@ -12,8 +12,8 @@
 //!   *incremental* position updates (insert/update/remove by key). Range
 //!   queries touch only the cells overlapping the query circle, so radio
 //!   delivery and mesh upkeep are O(nearby), not O(fleet).
-//! * [`AddrIndex`] — the fleet's stable `addr → slot` map, replacing
-//!   per-vehicle linear scans with one paged lookup.
+//! * [`AddrIndex`] ([`addr_index`]) — the fleet's stable `addr → slot`
+//!   map, replacing per-vehicle linear scans with one paged lookup.
 //!
 //! The crate sits between `airdnd-geo`/`airdnd-sim` and everything that
 //! moves: it depends only on those two and carries no scenario policy.
@@ -24,10 +24,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod soa;
+pub mod addr_index;
 pub mod spatial;
 pub mod timeline;
 
-pub use soa::AddrIndex;
+pub use addr_index::AddrIndex;
 pub use spatial::SpatialGrid;
 pub use timeline::Timeline;

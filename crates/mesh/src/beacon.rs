@@ -48,7 +48,7 @@ impl NodeAdvert {
 }
 
 /// A periodic broadcast frame.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Beacon {
     /// Sender address.
     pub src: NodeAddr,

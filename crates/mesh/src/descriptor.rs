@@ -116,6 +116,7 @@ mod tests {
     use super::*;
     use crate::beacon::{Beacon, NodeAdvert};
     use crate::membership::{MeshConfig, MeshMsg};
+    use std::rc::Rc;
 
     fn handshaken_node() -> MeshNode {
         let mut a = MeshNode::new(
@@ -144,7 +145,7 @@ mod tests {
         a.on_message(
             SimTime::from_millis(100),
             NodeAddr::new(2),
-            MeshMsg::Beacon(beacon),
+            MeshMsg::Beacon(Rc::new(beacon)),
         );
         a
     }

@@ -22,6 +22,7 @@ use airdnd_radio::NodeAddr;
 use airdnd_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// Tuning knobs of the membership protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -58,10 +59,12 @@ impl Default for MeshConfig {
 }
 
 /// Protocol messages exchanged between mesh nodes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum MeshMsg {
-    /// Periodic broadcast heartbeat.
-    Beacon(Beacon),
+    /// Periodic broadcast heartbeat. The sender allocates it once; every
+    /// receiver's copy of the message, and the neighbour entry it
+    /// updates, shares that allocation.
+    Beacon(Rc<Beacon>),
     /// "I would like to join your mesh view."
     JoinRequest {
         /// Requester's advertisement.
@@ -255,7 +258,7 @@ impl MeshNode {
         for peer in expired {
             self.remove_member(now, peer, &mut actions);
         }
-        let beacon = Beacon {
+        let beacon = Rc::new(Beacon {
             src: self.addr,
             seq: self.seq,
             pos: self.pos,
@@ -267,7 +270,7 @@ impl MeshNode {
                 .copied()
                 .take(MAX_BEACON_MEMBERS)
                 .collect(),
-        };
+        });
         self.seq += 1;
         actions.push(MeshAction::Broadcast(MeshMsg::Beacon(beacon)));
         actions
@@ -478,7 +481,7 @@ mod tests {
             advert: NodeAdvert::closed(),
             members: Vec::new(),
         };
-        let acts = a.on_message(SimTime::ZERO, NodeAddr::new(2), MeshMsg::Beacon(b));
+        let acts = a.on_message(SimTime::ZERO, NodeAddr::new(2), MeshMsg::Beacon(Rc::new(b)));
         assert!(
             acts.is_empty(),
             "poor link must not trigger a join: {acts:?}"
@@ -489,14 +492,14 @@ mod tests {
     fn join_retry_is_rate_limited() {
         let mut a = node(1);
         let beacon_from_2 = |seq| {
-            MeshMsg::Beacon(Beacon {
+            MeshMsg::Beacon(Rc::new(Beacon {
                 src: NodeAddr::new(2),
                 seq,
                 pos: Vec2::ZERO,
                 velocity: Vec2::ZERO,
                 advert: NodeAdvert::closed(),
                 members: Vec::new(),
-            })
+            }))
         };
         // The cautious link prior means the very first beacon does not
         // clear the join threshold; the second does.
@@ -571,7 +574,7 @@ mod tests {
                 advert: NodeAdvert::closed(),
                 members: Vec::new(),
             };
-            a.on_message(now, NodeAddr::new(2), MeshMsg::Beacon(b));
+            a.on_message(now, NodeAddr::new(2), MeshMsg::Beacon(Rc::new(b)));
             a.on_timer(now);
         }
         assert!(
@@ -599,6 +602,31 @@ mod tests {
         assert!((a.churn_per_sec(now) - 1.0).abs() < 1e-9);
         // Much later the events age out of the window.
         assert_eq!(a.churn_per_sec(SimTime::from_secs(60)), 0.0);
+    }
+
+    /// One broadcast is one allocation: the neighbour tables of every
+    /// receiver keep the sender's beacon itself, not copies of it.
+    #[test]
+    fn receivers_share_one_beacon_allocation() {
+        let mut a = node(1);
+        let mut b = node(2);
+        let mut c = node(3);
+        let sent = match a.on_timer(SimTime::ZERO).pop() {
+            Some(MeshAction::Broadcast(MeshMsg::Beacon(beacon))) => beacon,
+            other => panic!("expected beacon, got {other:?}"),
+        };
+        for receiver in [&mut b, &mut c] {
+            let msg = MeshMsg::Beacon(Rc::clone(&sent));
+            receiver.on_message(SimTime::from_millis(1), a.addr(), msg);
+        }
+        let held_by = |n: &MeshNode| Rc::clone(&n.neighbors().get(a.addr()).unwrap().last_beacon);
+        assert!(Rc::ptr_eq(&held_by(&b), &held_by(&c)));
+        assert!(Rc::ptr_eq(&held_by(&b), &sent));
+        assert_eq!(
+            Rc::strong_count(&sent),
+            3,
+            "the sender's handle and two tables"
+        );
     }
 
     #[test]

@@ -10,12 +10,14 @@ use crate::beacon::Beacon;
 use airdnd_radio::NodeAddr;
 use airdnd_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// State kept per neighbor.
 #[derive(Clone, Debug)]
 pub struct NeighborEntry {
-    /// The most recent beacon received.
-    pub last_beacon: Beacon,
+    /// The most recent beacon received: the sender's own allocation,
+    /// shared with every other receiver of that broadcast.
+    pub last_beacon: Rc<Beacon>,
     /// When it was received.
     pub last_seen: SimTime,
     /// EWMA delivery ratio in `[0, 1]`.
@@ -59,7 +61,7 @@ impl NeighborTable {
     ///
     /// Sequence gaps since the previous beacon are charged as losses before
     /// the successful reception is credited.
-    pub fn on_beacon(&mut self, now: SimTime, beacon: Beacon) {
+    pub fn on_beacon(&mut self, now: SimTime, beacon: Rc<Beacon>) {
         match self.entries.get_mut(&beacon.src) {
             Some(entry) => {
                 let expected = entry.last_beacon.seq.wrapping_add(1);
@@ -130,15 +132,19 @@ mod tests {
     use crate::beacon::NodeAdvert;
     use airdnd_geo::Vec2;
 
-    fn beacon(src: u64, seq: u64) -> Beacon {
-        Beacon {
+    fn beacon_at(src: u64, seq: u64, pos: Vec2) -> Rc<Beacon> {
+        Rc::new(Beacon {
             src: NodeAddr::new(src),
             seq,
-            pos: Vec2::ZERO,
+            pos,
             velocity: Vec2::ZERO,
             advert: NodeAdvert::closed(),
             members: Vec::new(),
-        }
+        })
+    }
+
+    fn beacon(src: u64, seq: u64) -> Rc<Beacon> {
+        beacon_at(src, seq, Vec2::ZERO)
     }
 
     fn table() -> NeighborTable {
@@ -204,14 +210,15 @@ mod tests {
     #[test]
     fn entry_exposes_latest_beacon() {
         let mut t = table();
-        let mut b = beacon(1, 0);
-        b.pos = Vec2::new(5.0, 5.0);
-        t.on_beacon(SimTime::ZERO, b);
-        let mut b2 = beacon(1, 1);
-        b2.pos = Vec2::new(7.0, 5.0);
-        t.on_beacon(SimTime::from_millis(100), b2.clone());
+        t.on_beacon(SimTime::ZERO, beacon_at(1, 0, Vec2::new(5.0, 5.0)));
+        let b2 = beacon_at(1, 1, Vec2::new(7.0, 5.0));
+        t.on_beacon(SimTime::from_millis(100), Rc::clone(&b2));
         let e = t.get(NodeAddr::new(1)).unwrap();
         assert_eq!(e.last_beacon.pos, Vec2::new(7.0, 5.0));
+        assert!(
+            Rc::ptr_eq(&e.last_beacon, &b2),
+            "the table keeps the allocation it was fed"
+        );
         assert_eq!(
             e.age(SimTime::from_millis(150)),
             SimDuration::from_millis(50)

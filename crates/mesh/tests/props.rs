@@ -5,16 +5,17 @@ use airdnd_mesh::{Beacon, MeshAction, MeshConfig, MeshDescriptor, MeshMsg, MeshN
 use airdnd_radio::NodeAddr;
 use airdnd_sim::SimTime;
 use proptest::prelude::*;
+use std::rc::Rc;
 
-fn beacon(src: u64, seq: u64) -> Beacon {
-    Beacon {
+fn beacon(src: u64, seq: u64) -> Rc<Beacon> {
+    Rc::new(Beacon {
         src: NodeAddr::new(src),
         seq,
         pos: Vec2::new(src as f64, 0.0),
         velocity: Vec2::ZERO,
         advert: NodeAdvert::closed(),
         members: Vec::new(),
-    }
+    })
 }
 
 proptest! {

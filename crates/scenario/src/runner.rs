@@ -400,7 +400,9 @@ pub struct ScenarioReport {
 /// One scheduled scenario event. Wire payloads ride behind an `Rc` so a
 /// broadcast's N deliveries share one heap copy until each receiver takes
 /// (or, for the last one, steals) its own — and so the queue's elements
-/// stay small for cheap heap sifts.
+/// stay small for cheap heap sifts. A beacon's body is itself an
+/// `Rc<Beacon>`, so a receiver's own copy costs a refcount bump, and its
+/// neighbour table keeps the sender's allocation.
 #[derive(Clone, Debug)]
 enum ScenMsg {
     Tick,
@@ -1257,7 +1259,8 @@ impl WorldState {
                 }
                 if let Some(idx) = self.fleet.index_of(to) {
                     // Last delivery of a broadcast steals the payload;
-                    // earlier ones (and racing unicasts) clone it.
+                    // earlier ones (and racing unicasts) clone it, which
+                    // for a beacon only bumps its `Rc<Beacon>`.
                     let msg = Rc::try_unwrap(msg).unwrap_or_else(|rc| (*rc).clone());
                     let v = self.fleet.get_mut(idx).expect("indexed slot live");
                     let addr = v.node.addr();
