@@ -122,7 +122,7 @@ pub struct RadioMedium {
     channel: ChannelModel,
     mac: MacParams,
     /// Line-of-sight accelerator over the construction world's obstacles:
-    /// the medium answers one LOS query per broadcast candidate per
+    /// the medium answers up to one LOS query per broadcast candidate per
     /// beacon, so on city-scale worlds this must be O(nearby obstacles),
     /// not O(all obstacles). The world's geometry is fixed for the
     /// medium's lifetime, so the index fully replaces it.
@@ -374,6 +374,15 @@ impl RadioMedium {
     /// Broadcasts `payload_bytes` from `src`: one transmission, each
     /// registered neighbour independently survives or loses the frame.
     ///
+    /// Each candidate draws its shadowing, then one uniform against its
+    /// PER. The PER is settled from the SNR where it can be: when the
+    /// line-of-sight and the blocked SNR both lie past the same cut of
+    /// [`ChannelModel::per`] (where it is exactly 0.0 or 1.0), the
+    /// candidate needs no line-of-sight query. Otherwise the obstacle
+    /// index picks the SNR, and `per` runs only when that SNR lies between
+    /// the cuts. Deliveries and RNG draws are exactly those of line of
+    /// sight followed by [`ChannelModel::per_at`] for every candidate.
+    ///
     /// Receivers farther than the medium's horizon, `2 ×` the
     /// line-of-sight [`ChannelModel::nominal_range`] computed once in
     /// [`RadioMedium::new`], are never considered and draw no RNG. The cut
@@ -425,6 +434,7 @@ impl RadioMedium {
 
         let horizon = self.horizon;
         let bits = (payload_bytes + self.mac.header_bytes) * 8;
+        let per_one_db = ChannelModel::snr_per_one_db(bits);
         // Grid cells overlapping the horizon circle, then the exact
         // historical predicate and address order — candidates, and
         // therefore every per-candidate RNG draw below, match the old
@@ -437,9 +447,22 @@ impl RadioMedium {
         let mut deliveries = Vec::new();
         for (addr, pos) in candidates {
             let distance = src_pos.distance(pos);
-            let los = self.los.line_of_sight(src_pos, pos);
+            // Line of sight draws no RNG, so drawing the shadowing first
+            // keeps every draw where it was.
             let shadow = self.rng.normal(0.0, self.channel.shadowing_sigma_db);
-            let per = self.channel.per_at(distance, los, shadow, bits);
+            let (clear, blocked) = self.channel.snr_clear_and_blocked(distance, shadow);
+            let settle = |snr| ChannelModel::settled_per(snr, per_one_db);
+            let per = match (settle(clear), settle(blocked)) {
+                (Some(a), Some(b)) if a == b => a,
+                _ => {
+                    let snr = if self.los.line_of_sight(src_pos, pos) {
+                        clear
+                    } else {
+                        blocked
+                    };
+                    settle(snr).unwrap_or_else(|| self.channel.per(snr, bits))
+                }
+            };
             if !self.rng.chance(per) {
                 let prop = SimDuration::from_secs_f64(distance / C);
                 deliveries.push(BroadcastDelivery {
@@ -563,19 +586,22 @@ mod tests {
     }
 
     /// On seeded random fleets the fast broadcast (horizon computed once,
-    /// grid candidates, indexed line of sight) matches the brute-force
-    /// reference call for call: the same receivers at the same times, the
-    /// same report, the same queue drops and the same next RNG draw.
-    /// Fleets include co-located nodes, nodes exactly on the horizon,
-    /// moves, removals, broadcasts from removed nodes and, for half the
-    /// seeds, a queue cap tight enough to shed frames.
+    /// grid candidates, PER settled from the SNR before line of sight,
+    /// indexed line of sight) matches the brute-force reference call for
+    /// call: the same receivers at the same times, the same report, the
+    /// same queue drops and the same next RNG draw. Fleets include
+    /// co-located nodes, nodes exactly on the horizon, moves, removals,
+    /// broadcasts from removed nodes and, for half the seeds, a queue cap
+    /// tight enough to shed frames. Which candidates skip line of sight
+    /// depends on the blocked SNR, so four seeds move the obstacle loss
+    /// to 0 dB (blocked = clear) and to 200 dB (a tunnel shell).
     #[test]
     fn broadcast_matches_brute_force_reference() {
         let (channel, mac) = crate::profiles::dsrc();
         let horizon = 2.0 * channel.nominal_range(true);
         let mut shed = 0;
         let mut delivered = 0;
-        for seed in 0..8u64 {
+        for seed in 0..12u64 {
             let mut rng = SimRng::seed_from(1_000 + seed);
             let span = 3_000.0;
             let world = random_world(&mut rng, span, 40);
@@ -587,6 +613,15 @@ mod tests {
                 let cap = Some(SimDuration::from_micros(400));
                 fast.set_max_queue_delay(cap);
                 slow.medium.set_max_queue_delay(cap);
+            }
+            let loss_db = match seed {
+                8 | 9 => Some(0.0),
+                10 | 11 => Some(200.0),
+                _ => None,
+            };
+            if let Some(loss_db) = loss_db {
+                fast.set_obstacle_loss_db(loss_db);
+                slow.medium.set_obstacle_loss_db(loss_db);
             }
             let nodes = 120u64;
             let place = |fast: &mut RadioMedium, slow: &mut Reference, addr, pos| {

@@ -436,6 +436,9 @@ enum ScenMsg {
 struct EgoState {
     addr: NodeAddr,
     stage: ScenarioWorld,
+    /// Index of this ego's grid in `WorldState::sensor_stages`; its
+    /// rasterizations test line of sight through that slot's index.
+    sensor_slot: usize,
     local: LocalOnly,
     task_gas_budget: u64,
     submitted: u64,
@@ -453,6 +456,7 @@ impl EgoState {
         EgoState {
             addr,
             stage,
+            sensor_slot: 0,
             local,
             task_gas_budget,
             submitted: 0,
@@ -477,7 +481,8 @@ struct WorldState {
     /// Distinct per-ego grids every vehicle's sensor refresh rasterizes
     /// (deduplicated, so a single ego keeps the historical single insert).
     sensor_stages: Vec<ScenarioWorld>,
-    /// One prebuilt line-of-sight index per sensor stage, in stage order:
+    /// One prebuilt line-of-sight index per sensor stage, in stage order,
+    /// through which every rasterization of the run tests line of sight:
     /// the refresh loop is vehicles × stages × cells, so its LOS tests
     /// must not rescan every obstacle on city-scale worlds.
     sensor_los: Vec<airdnd_geo::ObstacleIndex>,
@@ -523,9 +528,13 @@ impl WorldState {
 
     fn ego_grid(&self, ego: usize) -> Vec<i64> {
         let pos = self.ego_pos(ego);
-        self.egos[ego]
-            .stage
-            .rasterize(pos, self.cfg.sensor_range, &self.hidden_agents)
+        let state = &self.egos[ego];
+        state.stage.rasterize(
+            &self.sensor_los[state.sensor_slot],
+            pos,
+            self.cfg.sensor_range,
+            &self.hidden_agents,
+        )
     }
 
     fn record_view(
@@ -973,7 +982,7 @@ impl WorldState {
             for vehicle in fleet.iter_mut() {
                 let pos = vehicle.pos();
                 for (sensed, los) in sensor_stages.iter().zip(sensor_los.iter()) {
-                    let grid = sensed.rasterize_with(los, pos, cfg.sensor_range, hidden_agents);
+                    let grid = sensed.rasterize(los, pos, cfg.sensor_range, hidden_agents);
                     vehicle.node.insert_data(
                         DataType::OccupancyGrid,
                         grid,
@@ -1099,15 +1108,17 @@ impl WorldState {
                     egos,
                     fleet,
                     cloud,
+                    sensor_los,
                     hidden_agents,
                     cfg,
                     ..
                 } = self;
                 let stage = &egos[ego].stage;
+                let los = &sensor_los[egos[ego].sensor_slot];
                 let result_bytes = stage.cell_count() as u64 * 8;
                 let mut fused = vec![-1i64; stage.cell_count()];
                 for vehicle in fleet.iter() {
-                    let grid = stage.rasterize(vehicle.pos(), cfg.sensor_range, hidden_agents);
+                    let grid = stage.rasterize(los, vehicle.pos(), cfg.sensor_range, hidden_agents);
                     fuse_max(&mut fused, &grid);
                     let cloud = cloud.as_mut().expect("cloud strategy has a link");
                     let (done, _) = cloud.offload(now, raw, gas, result_bytes);
@@ -1166,12 +1177,14 @@ impl WorldState {
                 let raw =
                     DataType::RawFrame(airdnd_data::SensorModality::Camera).typical_size_bytes();
                 let gas = self.task_gas(ego);
-                let agents = self.hidden_agents.clone();
                 let helper_pos = self.fleet.get(helper_idx).expect("helper slot live").pos();
-                let grid =
-                    self.egos[ego]
-                        .stage
-                        .rasterize(helper_pos, self.cfg.sensor_range, &agents);
+                let state = &self.egos[ego];
+                let grid = state.stage.rasterize(
+                    &self.sensor_los[state.sensor_slot],
+                    helper_pos,
+                    self.cfg.sensor_range,
+                    &self.hidden_agents,
+                );
                 let WorldState { medium, egos, .. } = self;
                 let outcome = airdnd_baselines::raw_sharing_completion(
                     medium,
@@ -1434,15 +1447,21 @@ pub fn run_scenario_in_observed(
     for ego in &egos {
         fleet.protect(ego.addr);
     }
-    // Distinct grids the fleet's sensors must cover each refresh.
+    // Distinct grids the fleet's sensors must cover each refresh. A slot
+    // is shared only by stages over the same obstacles, so each ego's
+    // rasterizations can use its slot's line-of-sight index.
     let mut sensor_stages: Vec<ScenarioWorld> = Vec::new();
-    for ego in &egos {
-        if !sensor_stages
+    for ego in &mut egos {
+        ego.sensor_slot = sensor_stages
             .iter()
-            .any(|s| s.hidden_region == ego.stage.hidden_region)
-        {
-            sensor_stages.push(ego.stage.clone());
-        }
+            .position(|s| {
+                s.hidden_region == ego.stage.hidden_region
+                    && s.world.obstacles() == ego.stage.world.obstacles()
+            })
+            .unwrap_or_else(|| {
+                sensor_stages.push(ego.stage.clone());
+                sensor_stages.len() - 1
+            });
     }
     let sensor_los: Vec<airdnd_geo::ObstacleIndex> =
         sensor_stages.iter().map(ScenarioWorld::los_index).collect();

@@ -220,27 +220,24 @@ impl ScenarioWorld {
         Some(row * self.cols + col)
     }
 
-    /// A line-of-sight index over this stage's world, for callers that
-    /// rasterize in a loop (the runner's sensor refresh touches every
-    /// vehicle × every stage, so the per-cell LOS tests inside must be
-    /// O(nearby obstacles), not O(all obstacles)).
+    /// A line-of-sight index over this stage's world for
+    /// [`Self::rasterize`]. Build it once per world: a rasterization
+    /// tests line of sight per cell, so callers that rasterize in a loop
+    /// (the runner's sensor refresh touches every vehicle × every stage)
+    /// need O(nearby obstacles) tests, not O(all obstacles).
     pub fn los_index(&self) -> ObstacleIndex {
         ObstacleIndex::new(&self.world)
     }
 
-    /// Rasterizes one vehicle's view of the hidden region.
+    /// Rasterizes one vehicle's view of the hidden region, testing line
+    /// of sight through `los`, an index over this stage's obstacles (see
+    /// [`Self::los_index`]).
     ///
     /// Cell values: `-1` = unobserved, `0` = observed and free, `1` =
     /// observed and occupied (a ground-truth agent stands in it). A cell
     /// is observed when its centre is within `sensor_range` of `pos` and
     /// line of sight is clear.
-    pub fn rasterize(&self, pos: Vec2, sensor_range: f64, agents: &[Vec2]) -> Vec<i64> {
-        self.rasterize_with(&self.los_index(), pos, sensor_range, agents)
-    }
-
-    /// [`Self::rasterize`] with a prebuilt line-of-sight index (see
-    /// [`Self::los_index`]); answers are identical — the index is exact.
-    pub fn rasterize_with(
+    pub fn rasterize(
         &self,
         los: &ObstacleIndex,
         pos: Vec2,
@@ -404,7 +401,7 @@ mod tests {
     fn southern_ego_cannot_see_the_hidden_region() {
         let w = stage();
         let ego = Vec2::new(0.0, -60.0);
-        let grid = w.rasterize(ego, 150.0, &[]);
+        let grid = w.rasterize(&w.los_index(), ego, 150.0, &[]);
         let observed = grid.iter().filter(|&&c| c >= 0).count();
         let frac = observed as f64 / grid.len() as f64;
         assert!(
@@ -417,7 +414,7 @@ mod tests {
     fn eastern_helper_sees_it() {
         let w = stage();
         let helper = Vec2::new(80.0, 0.0);
-        let grid = w.rasterize(helper, 150.0, &[]);
+        let grid = w.rasterize(&w.los_index(), helper, 150.0, &[]);
         let observed = grid.iter().filter(|&&c| c >= 0).count();
         let frac = observed as f64 / grid.len() as f64;
         assert!(
@@ -431,7 +428,7 @@ mod tests {
         let w = stage();
         let agent = Vec2::new(60.0, 0.0);
         let helper = Vec2::new(80.0, 0.0);
-        let grid = w.rasterize(helper, 150.0, &[agent]);
+        let grid = w.rasterize(&w.los_index(), helper, 150.0, &[agent]);
         let idx = w.cell_of(agent).unwrap();
         assert_eq!(grid[idx], 1);
         assert!(grid.iter().filter(|&&c| c == 1).count() >= 1);
@@ -441,7 +438,7 @@ mod tests {
     fn out_of_range_sensor_sees_nothing() {
         let w = stage();
         let far = Vec2::new(0.0, -240.0);
-        let grid = w.rasterize(far, 50.0, &[]);
+        let grid = w.rasterize(&w.los_index(), far, 50.0, &[]);
         assert!(grid.iter().all(|&c| c == -1));
     }
 }
