@@ -198,6 +198,13 @@ impl RadioMedium {
         &self.mac
     }
 
+    /// The line-of-sight index over the medium's obstacles, for callers
+    /// that test sight lines through the same world (a scenario's
+    /// sensors), so one run builds one index.
+    pub fn obstacle_index(&self) -> &ObstacleIndex {
+        &self.los
+    }
+
     /// Frames dropped at the MAC because the airspace was booked out past
     /// [`MacParams::max_queue_delay`] — the congestion-collapse signal.
     pub fn queue_drops(&self) -> u64 {

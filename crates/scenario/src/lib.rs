@@ -39,7 +39,7 @@ pub use runner::{
     run_scenario, run_scenario_in_observed, EgoRoute, ScenarioConfig, ScenarioReport, Strategy,
     WorldInstance,
 };
-pub use world::{OcclusionParams, ScenarioWorld};
+pub use world::{HiddenGrid, OcclusionParams, ScenarioWorld};
 
 // Observability surface: re-exported so downstream crates (bench, sweep)
 // query runs without naming the telemetry crate directly.

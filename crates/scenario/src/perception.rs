@@ -1,7 +1,7 @@
 //! Occupancy-grid perception helpers: fusion and coverage metrics.
 //!
 //! Grids use the three-value encoding from
-//! [`ScenarioWorld::rasterize`](crate::world::ScenarioWorld::rasterize):
+//! [`HiddenGrid::rasterize`](crate::world::HiddenGrid::rasterize):
 //! `-1` unobserved, `0` observed-free, `1` observed-occupied. Fusing two
 //! views is a cell-wise max — the same operation the offloaded
 //! [`grid_fuse`](airdnd_task::library::grid_fuse) kernel performs on the

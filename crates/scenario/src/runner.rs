@@ -24,7 +24,7 @@ use crate::demand::DemandProfile;
 use crate::fleet::{Fleet, FleetLayout};
 use crate::lifecycle::{FleetAction, FleetSchedule};
 use crate::perception::{fuse_max, is_valid_grid, observed_fraction};
-use crate::world::{OcclusionParams, ScenarioWorld};
+use crate::world::{HiddenGrid, OcclusionParams, ScenarioWorld};
 use airdnd_baselines::{CloudOffload, LocalOnly};
 use airdnd_core::{
     NodeAction, NodeEvent, OffloadMsg, OrchestratorConfig, OrchestratorStats, TaskOutcome, WireMsg,
@@ -218,12 +218,12 @@ pub struct WorldInstance {
     /// Extra concurrent query origins beyond the primary ego. Each gets
     /// its own hidden-region grid, derived from its own approach path.
     pub extra_egos: Vec<EgoRoute>,
-    /// The derived occlusion stage carried for each extra ego, parallel
-    /// to `extra_egos`. [`WorldInstance::ensure_ego_stages`] fills any
-    /// missing tail via [`WorldInstance::derive_ego_stage`], so this one
-    /// derivation is authoritative — worldgen and the runner no longer
-    /// each derive their own copy.
-    pub extra_ego_stages: Vec<ScenarioWorld>,
+    /// The hidden-region grid carried for each extra ego, parallel to
+    /// `extra_egos`, on `stage`'s road network and obstacles.
+    /// [`WorldInstance::ensure_ego_stages`] fills any missing tail via
+    /// [`WorldInstance::derive_ego_stage`], so this one derivation is
+    /// authoritative.
+    pub extra_ego_stages: Vec<HiddenGrid>,
     /// Through-obstacle radio penetration loss override, dB (`None` keeps
     /// the medium's profile default). Tunnel/bridge worlds raise it so
     /// the structure genuinely partitions the mesh.
@@ -232,7 +232,7 @@ pub struct WorldInstance {
 
 /// One extra query origin: the portal it enters from and the goal whose
 /// approach path its personal occlusion grid is derived along (via
-/// [`ScenarioWorld::derive`], exactly like the primary ego's).
+/// [`HiddenGrid::derive`], exactly like the primary ego's).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EgoRoute {
     /// Portal arm this ego enters (and re-enters) from.
@@ -273,28 +273,27 @@ impl WorldInstance {
     /// approach path through this instance's geometry with the default
     /// occlusion parameters (arms taken modulo the map's arm count).
     /// Returns `None` when the path induces no occluded corridor.
-    pub fn derive_ego_stage(&self, route: EgoRoute) -> Option<ScenarioWorld> {
-        let arms = self.stage.net.arm_count();
-        ScenarioWorld::derive(
-            self.stage.net.clone(),
-            self.stage.world.clone(),
-            self.stage.net.approach_node(route.arm % arms),
-            self.stage.net.exit_node(route.goal_arm % arms),
+    pub fn derive_ego_stage(&self, route: EgoRoute) -> Option<HiddenGrid> {
+        let net = &self.stage.net;
+        let arms = net.arm_count();
+        HiddenGrid::derive(
+            net,
+            &self.stage.world,
+            net.approach_node(route.arm % arms),
+            net.exit_node(route.goal_arm % arms),
             &OcclusionParams::default(),
         )
     }
 
     /// Fills `extra_ego_stages` so every route in `extra_egos` carries its
-    /// derived stage (falling back to the shared primary stage when the
-    /// route derives no corridor of its own). Idempotent; stages already
+    /// derived grid (falling back to the primary grid when the route
+    /// derives no corridor of its own). Idempotent; grids already
     /// carried — e.g. by `worldgen::assign_extra_egos` — are kept.
     pub fn ensure_ego_stages(&mut self) {
         for k in self.extra_ego_stages.len()..self.extra_egos.len() {
             let route = self.extra_egos[k];
-            let stage = self
-                .derive_ego_stage(route)
-                .unwrap_or_else(|| self.stage.clone());
-            self.extra_ego_stages.push(stage);
+            let grid = self.derive_ego_stage(route).unwrap_or(self.stage.grid);
+            self.extra_ego_stages.push(grid);
         }
     }
 }
@@ -435,10 +434,7 @@ enum ScenMsg {
 /// is the primary ego; extras come from [`WorldInstance::extra_egos`].
 struct EgoState {
     addr: NodeAddr,
-    stage: ScenarioWorld,
-    /// Index of this ego's grid in `WorldState::sensor_stages`; its
-    /// rasterizations test line of sight through that slot's index.
-    sensor_slot: usize,
+    grid: HiddenGrid,
     local: LocalOnly,
     task_gas_budget: u64,
     submitted: u64,
@@ -452,11 +448,10 @@ struct EgoState {
 }
 
 impl EgoState {
-    fn new(addr: NodeAddr, stage: ScenarioWorld, task_gas_budget: u64, local: LocalOnly) -> Self {
+    fn new(addr: NodeAddr, grid: HiddenGrid, task_gas_budget: u64, local: LocalOnly) -> Self {
         EgoState {
             addr,
-            stage,
-            sensor_slot: 0,
+            grid,
             local,
             task_gas_budget,
             submitted: 0,
@@ -478,14 +473,11 @@ struct WorldState {
     medium: RadioMedium,
     cloud: Option<CloudOffload>,
     egos: Vec<EgoState>,
-    /// Distinct per-ego grids every vehicle's sensor refresh rasterizes
-    /// (deduplicated, so a single ego keeps the historical single insert).
-    sensor_stages: Vec<ScenarioWorld>,
-    /// One prebuilt line-of-sight index per sensor stage, in stage order,
-    /// through which every rasterization of the run tests line of sight:
-    /// the refresh loop is vehicles × stages × cells, so its LOS tests
-    /// must not rescan every obstacle on city-scale worlds.
-    sensor_los: Vec<airdnd_geo::ObstacleIndex>,
+    /// Distinct per-ego grids every vehicle's sensor refresh rasterizes,
+    /// in ego order (deduplicated, so a single ego keeps the historical
+    /// single insert). Every rasterization of the run tests line of sight
+    /// through the medium's obstacle index.
+    sensor_stages: Vec<HiddenGrid>,
     hidden_agents: Vec<Vec2>,
     /// The perception kernel every AirDnD query ships, built and verified
     /// once per run.
@@ -527,11 +519,9 @@ impl WorldState {
     }
 
     fn ego_grid(&self, ego: usize) -> Vec<i64> {
-        let pos = self.ego_pos(ego);
-        let state = &self.egos[ego];
-        state.stage.rasterize(
-            &self.sensor_los[state.sensor_slot],
-            pos,
+        self.egos[ego].grid.rasterize(
+            self.medium.obstacle_index(),
+            self.ego_pos(ego),
             self.cfg.sensor_range,
             &self.hidden_agents,
         )
@@ -546,6 +536,7 @@ impl WorldState {
         task: u64,
     ) {
         let mut fused = self.ego_grid(ego);
+        let own = observed_fraction(&fused);
         let valid = remote.len() == fused.len() && is_valid_grid(remote);
         if valid {
             fuse_max(&mut fused, remote);
@@ -555,12 +546,11 @@ impl WorldState {
                 .metrics
                 .inc("invalid_results_accepted", Scope::Ego(ego as u32));
         }
-        let own = observed_fraction(&self.ego_grid(ego));
         let hit = self.egos[ego].detect_time.is_none() && {
-            let stage = &self.egos[ego].stage;
+            let grid = &self.egos[ego].grid;
             self.hidden_agents
                 .iter()
-                .filter_map(|&a| stage.cell_of(a))
+                .filter_map(|&a| grid.cell_of(a))
                 .any(|idx| fused.get(idx) == Some(&1))
         };
         let latency = now.saturating_since(submitted);
@@ -655,7 +645,7 @@ impl WorldState {
     }
 
     fn perception_task(&mut self, now: SimTime, ego: usize) -> TaskSpec {
-        let cells = self.egos[ego].stage.cell_count() as u32;
+        let cells = self.egos[ego].grid.cell_count() as u32;
         self.next_task += 1;
         let id = TaskId::new(self.next_task);
         self.task_submit_times.insert(id.raw(), (ego, now));
@@ -663,7 +653,7 @@ impl WorldState {
             data_type: DataType::OccupancyGrid,
             requirement: QualityRequirement {
                 max_age: SimDuration::from_secs(1),
-                required_region: Some(self.egos[ego].stage.hidden_region),
+                required_region: Some(self.egos[ego].grid.hidden_region),
                 min_coverage_fraction: 0.3,
                 ..Default::default()
             },
@@ -973,15 +963,16 @@ impl WorldState {
         {
             let WorldState {
                 fleet,
+                medium,
                 sensor_stages,
-                sensor_los,
                 hidden_agents,
                 cfg,
                 ..
             } = self;
+            let los = medium.obstacle_index();
             for vehicle in fleet.iter_mut() {
                 let pos = vehicle.pos();
-                for (sensed, los) in sensor_stages.iter().zip(sensor_los.iter()) {
+                for sensed in sensor_stages.iter() {
                     let grid = sensed.rasterize(los, pos, cfg.sensor_range, hidden_agents);
                     vehicle.node.insert_data(
                         DataType::OccupancyGrid,
@@ -1107,18 +1098,19 @@ impl WorldState {
                 let WorldState {
                     egos,
                     fleet,
+                    medium,
                     cloud,
-                    sensor_los,
                     hidden_agents,
                     cfg,
                     ..
                 } = self;
-                let stage = &egos[ego].stage;
-                let los = &sensor_los[egos[ego].sensor_slot];
-                let result_bytes = stage.cell_count() as u64 * 8;
-                let mut fused = vec![-1i64; stage.cell_count()];
+                let sensed = &egos[ego].grid;
+                let los = medium.obstacle_index();
+                let result_bytes = sensed.cell_count() as u64 * 8;
+                let mut fused = vec![-1i64; sensed.cell_count()];
                 for vehicle in fleet.iter() {
-                    let grid = stage.rasterize(los, vehicle.pos(), cfg.sensor_range, hidden_agents);
+                    let grid =
+                        sensed.rasterize(los, vehicle.pos(), cfg.sensor_range, hidden_agents);
                     fuse_max(&mut fused, &grid);
                     let cloud = cloud.as_mut().expect("cloud strategy has a link");
                     let (done, _) = cloud.offload(now, raw, gas, result_bytes);
@@ -1178,9 +1170,8 @@ impl WorldState {
                     DataType::RawFrame(airdnd_data::SensorModality::Camera).typical_size_bytes();
                 let gas = self.task_gas(ego);
                 let helper_pos = self.fleet.get(helper_idx).expect("helper slot live").pos();
-                let state = &self.egos[ego];
-                let grid = state.stage.rasterize(
-                    &self.sensor_los[state.sensor_slot],
+                let grid = self.egos[ego].grid.rasterize(
+                    self.medium.obstacle_index(),
                     helper_pos,
                     self.cfg.sensor_range,
                     &self.hidden_agents,
@@ -1415,8 +1406,8 @@ pub fn run_scenario_in_observed(
     let ego_gas = fleet.ego().node.executor().gas_rate();
     let mut egos = vec![EgoState::new(
         fleet.ego().node.addr(),
-        stage.clone(),
-        gas_budget_for(stage.cell_count()),
+        stage.grid,
+        gas_budget_for(stage.grid.cell_count()),
         LocalOnly::new(ego_gas),
     )];
     let arms = stage.net.arm_count();
@@ -1430,14 +1421,14 @@ pub fn run_scenario_in_observed(
         let arm = route.arm % arms;
         let vehicle = fleet.get_mut(idx).expect("initial fleet is dense");
         vehicle.reroute_from(&stage, arm);
-        // The instance carries the authoritative derived stage for each
+        // The instance carries the authoritative derived grid for each
         // extra route (ensure_ego_stages filled any gap above).
-        let ego_stage = extra_ego_stages[k].clone();
+        let grid = extra_ego_stages[k];
         let gas_rate = vehicle.node.executor().gas_rate();
         egos.push(EgoState::new(
             vehicle.node.addr(),
-            ego_stage.clone(),
-            gas_budget_for(ego_stage.cell_count()),
+            grid,
+            gas_budget_for(grid.cell_count()),
             LocalOnly::new(gas_rate),
         ));
     }
@@ -1447,24 +1438,13 @@ pub fn run_scenario_in_observed(
     for ego in &egos {
         fleet.protect(ego.addr);
     }
-    // Distinct grids the fleet's sensors must cover each refresh. A slot
-    // is shared only by stages over the same obstacles, so each ego's
-    // rasterizations can use its slot's line-of-sight index.
-    let mut sensor_stages: Vec<ScenarioWorld> = Vec::new();
-    for ego in &mut egos {
-        ego.sensor_slot = sensor_stages
-            .iter()
-            .position(|s| {
-                s.hidden_region == ego.stage.hidden_region
-                    && s.world.obstacles() == ego.stage.world.obstacles()
-            })
-            .unwrap_or_else(|| {
-                sensor_stages.push(ego.stage.clone());
-                sensor_stages.len() - 1
-            });
+    // Distinct grids the fleet's sensors must cover each refresh.
+    let mut sensor_stages: Vec<HiddenGrid> = Vec::new();
+    for ego in &egos {
+        if !sensor_stages.contains(&ego.grid) {
+            sensor_stages.push(ego.grid);
+        }
     }
-    let sensor_los: Vec<airdnd_geo::ObstacleIndex> =
-        sensor_stages.iter().map(ScenarioWorld::los_index).collect();
     let mut medium = RadioMedium::v2v(stage.world.clone(), rng.fork(0xC0DE));
     if let Some(loss_db) = obstacle_loss_db {
         medium.set_obstacle_loss_db(loss_db);
@@ -1487,7 +1467,6 @@ pub fn run_scenario_in_observed(
         cloud,
         egos,
         sensor_stages,
-        sensor_los,
         hidden_agents,
         kernel: kernel.into_inner(),
         schedule,

@@ -2,13 +2,15 @@
 //! region.
 //!
 //! The hidden-region grid is no longer hard-coded to the canonical corner:
-//! [`ScenarioWorld::derive`] walks the ego's approach path, finds the first
+//! [`HiddenGrid::derive`] walks the ego's approach path, finds the first
 //! junction where a crossing road is occluded by a building, and projects
 //! the occluder onto the crossing axis to obtain the hidden corridor. The
 //! canonical four-way stage built by [`ScenarioWorld::build`] goes through
 //! the same derivation and reproduces the historical corridor byte for
 //! byte (regression-tested below), while procedurally generated worlds
-//! (`airdnd-worldgen`) get their occlusion grids for free.
+//! (`airdnd-worldgen`) get their occlusion grids for free. A query origin
+//! carries only its [`HiddenGrid`]; every origin of a run shares the one
+//! road network and obstacle world.
 
 use airdnd_geo::{Aabb, NodeId, ObstacleIndex, RoadNetwork, Vec2, World};
 use serde::{Deserialize, Serialize};
@@ -44,22 +46,19 @@ impl Default for OcclusionParams {
     }
 }
 
-/// The static world of the looking-around-the-corner scenario.
+/// The static world of the looking-around-the-corner scenario: one road
+/// network and one obstacle world, shared by every query origin of a run,
+/// and the primary ego's hidden-region grid.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScenarioWorld {
     /// The road graph (four-way intersection at the origin).
     pub net: RoadNetwork,
     /// Obstacles (four corner buildings).
     pub world: World,
-    /// The region an ego approaching from the south cannot see: a corridor
-    /// along the east arm, behind the south-east corner building.
-    pub hidden_region: Aabb,
-    /// Grid cell size over the hidden region, metres.
-    pub cell_size: f64,
-    /// Grid columns.
-    pub cols: usize,
-    /// Grid rows.
-    pub rows: usize,
+    /// The primary ego's hidden-region grid. On the canonical corner it
+    /// covers the region an ego approaching from the south cannot see: a
+    /// corridor along the east arm, behind the south-east corner building.
+    pub grid: HiddenGrid,
 }
 
 impl ScenarioWorld {
@@ -67,7 +66,7 @@ impl ScenarioWorld {
     ///
     /// `arm_length` sizes the intersection; buildings of `building_size`
     /// sit `building_setback` metres from the road centrelines.
-    /// The corridor is *derived* from the geometry ([`ScenarioWorld::derive`]);
+    /// The corridor is *derived* from the geometry ([`HiddenGrid::derive`]);
     /// for parameter combinations where the buildings no longer occlude the
     /// crossing arm (e.g. an extreme setback), the historical hard-coded
     /// corridor is used instead, so every previously valid configuration
@@ -82,26 +81,40 @@ impl ScenarioWorld {
         let world = World::corner_buildings(building_setback, building_size);
         let ego_entry = net.approach_node(0);
         let goal = net.exit_node(2);
-        ScenarioWorld::derive(net, world, ego_entry, goal, &OcclusionParams::default())
+        let grid = HiddenGrid::derive(&net, &world, ego_entry, goal, &OcclusionParams::default())
             .unwrap_or_else(|| {
-                // Rebuild the (cheap) stage rather than cloning it up front:
-                // the common path hands ownership straight to `derive`.
                 let hidden_region = Aabb::new(
                     Vec2::new(building_setback + 10.0, -8.0),
                     Vec2::new((building_setback + 10.0 + 100.0).min(arm_length), 8.0),
                 );
                 let cell_size = 5.0;
-                ScenarioWorld {
-                    net: RoadNetwork::four_way_intersection(arm_length, speed_limit),
-                    world: World::corner_buildings(building_setback, building_size),
+                HiddenGrid {
                     cols: (hidden_region.width() / cell_size).ceil() as usize,
                     rows: (hidden_region.height() / cell_size).ceil() as usize,
                     hidden_region,
                     cell_size,
                 }
-            })
+            });
+        ScenarioWorld { net, world, grid }
     }
+}
 
+/// One query origin's hidden-region grid: the box over the region it
+/// cannot see, cut into square cells. It holds no geometry of its own;
+/// every grid of a run lies on the run's one [`ScenarioWorld`].
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct HiddenGrid {
+    /// The occluded corridor the grid covers.
+    pub hidden_region: Aabb,
+    /// Grid cell size over the hidden region, metres.
+    pub cell_size: f64,
+    /// Grid columns.
+    pub cols: usize,
+    /// Grid rows.
+    pub rows: usize,
+}
+
+impl HiddenGrid {
     /// Derives the hidden-region grid from world geometry: walks the ego's
     /// shortest path from `ego_entry` to `goal`, and at each junction
     /// (out-degree ≥ 3) probes every crossing road for a building that
@@ -113,8 +126,8 @@ impl ScenarioWorld {
     /// Returns `None` when no path exists or no crossing is occluded —
     /// a world with free sight everywhere has nothing to look around.
     pub fn derive(
-        net: RoadNetwork,
-        world: World,
+        net: &RoadNetwork,
+        world: &World,
         ego_entry: NodeId,
         goal: NodeId,
         params: &OcclusionParams,
@@ -164,7 +177,7 @@ impl ScenarioWorld {
                     .map(|&c| (c - jpos).dot(cross_dir))
                     .fold(f64::INFINITY, f64::min);
                 let start = near + params.margin;
-                let end = (start + params.extent).min(straight_reach(&net, junction, cross_dir));
+                let end = (start + params.extent).min(straight_reach(net, junction, cross_dir));
                 if end <= start {
                     continue;
                 }
@@ -178,9 +191,7 @@ impl ScenarioWorld {
                 if cols == 0 || rows == 0 {
                     continue;
                 }
-                return Some(ScenarioWorld {
-                    net,
-                    world,
+                return Some(HiddenGrid {
                     hidden_region,
                     cell_size,
                     cols,
@@ -220,18 +231,12 @@ impl ScenarioWorld {
         Some(row * self.cols + col)
     }
 
-    /// A line-of-sight index over this stage's world for
-    /// [`Self::rasterize`]. Build it once per world: a rasterization
-    /// tests line of sight per cell, so callers that rasterize in a loop
-    /// (the runner's sensor refresh touches every vehicle × every stage)
-    /// need O(nearby obstacles) tests, not O(all obstacles).
-    pub fn los_index(&self) -> ObstacleIndex {
-        ObstacleIndex::new(&self.world)
-    }
-
     /// Rasterizes one vehicle's view of the hidden region, testing line
-    /// of sight through `los`, an index over this stage's obstacles (see
-    /// [`Self::los_index`]).
+    /// of sight through `los`, an index over the obstacles of the world
+    /// this grid lies on. Build that index once per world: a
+    /// rasterization tests line of sight per cell, and the runner's
+    /// sensor refresh touches every vehicle × every grid, so its tests
+    /// must cost O(nearby obstacles), not O(all obstacles).
     ///
     /// Cell values: `-1` = unobserved, `0` = observed and free, `1` =
     /// observed and occupied (a ground-truth agent stands in it). A cell
@@ -340,9 +345,7 @@ mod tests {
         let (arm_length, speed_limit, setback, size) = (250.0, 13.9, 12.0, 40.0);
         let derived = ScenarioWorld::build(arm_length, speed_limit, setback, size);
         // The pre-derivation literal, reproduced verbatim.
-        let legacy = ScenarioWorld {
-            net: RoadNetwork::four_way_intersection(arm_length, speed_limit),
-            world: World::corner_buildings(setback, size),
+        let legacy = HiddenGrid {
             hidden_region: Aabb::new(
                 Vec2::new(setback + 10.0, -8.0),
                 Vec2::new((setback + 10.0 + 100.0).min(arm_length), 8.0),
@@ -352,7 +355,7 @@ mod tests {
             rows: 4,
         };
         assert_eq!(
-            serde_json::to_string_pretty(&derived).expect("serializes"),
+            serde_json::to_string_pretty(&derived.grid).expect("serializes"),
             serde_json::to_string_pretty(&legacy).expect("serializes"),
             "deriving the canonical stage must be byte-identical to the \
              hard-coded corridor"
@@ -366,9 +369,9 @@ mod tests {
     #[test]
     fn build_falls_back_when_derivation_finds_no_occlusion() {
         let w = ScenarioWorld::build(250.0, 13.9, 60.0, 40.0);
-        assert_eq!(w.hidden_region.min(), Vec2::new(70.0, -8.0));
-        assert_eq!(w.hidden_region.max(), Vec2::new(170.0, 8.0));
-        assert!(w.cell_count() > 0);
+        assert_eq!(w.grid.hidden_region.min(), Vec2::new(70.0, -8.0));
+        assert_eq!(w.grid.hidden_region.max(), Vec2::new(170.0, 8.0));
+        assert!(w.grid.cell_count() > 0);
     }
 
     /// Worlds without occlusion derive no hidden region.
@@ -377,31 +380,33 @@ mod tests {
         let net = RoadNetwork::four_way_intersection(250.0, 13.9);
         let (a, b) = (net.approach_node(0), net.exit_node(2));
         assert!(
-            ScenarioWorld::derive(net, World::new(), a, b, &OcclusionParams::default()).is_none(),
+            HiddenGrid::derive(&net, &World::new(), a, b, &OcclusionParams::default()).is_none(),
             "free sight everywhere means nothing to look around"
         );
     }
 
     #[test]
     fn grid_geometry_is_consistent() {
-        let w = stage();
-        assert_eq!(w.cell_count(), w.cols * w.rows);
-        assert!(w.cell_count() > 20, "hidden region should have a real grid");
+        let g = stage().grid;
+        assert_eq!(g.cell_count(), g.cols * g.rows);
+        assert!(g.cell_count() > 20, "hidden region should have a real grid");
         // Every cell centre maps back to its own index.
-        for row in 0..w.rows {
-            for col in 0..w.cols {
-                let c = w.cell_center(col, row);
-                assert_eq!(w.cell_of(c), Some(row * w.cols + col));
+        for row in 0..g.rows {
+            for col in 0..g.cols {
+                let c = g.cell_center(col, row);
+                assert_eq!(g.cell_of(c), Some(row * g.cols + col));
             }
         }
-        assert_eq!(w.cell_of(Vec2::new(-500.0, 0.0)), None);
+        assert_eq!(g.cell_of(Vec2::new(-500.0, 0.0)), None);
     }
 
     #[test]
     fn southern_ego_cannot_see_the_hidden_region() {
         let w = stage();
         let ego = Vec2::new(0.0, -60.0);
-        let grid = w.rasterize(&w.los_index(), ego, 150.0, &[]);
+        let grid = w
+            .grid
+            .rasterize(&ObstacleIndex::new(&w.world), ego, 150.0, &[]);
         let observed = grid.iter().filter(|&&c| c >= 0).count();
         let frac = observed as f64 / grid.len() as f64;
         assert!(
@@ -414,7 +419,9 @@ mod tests {
     fn eastern_helper_sees_it() {
         let w = stage();
         let helper = Vec2::new(80.0, 0.0);
-        let grid = w.rasterize(&w.los_index(), helper, 150.0, &[]);
+        let grid = w
+            .grid
+            .rasterize(&ObstacleIndex::new(&w.world), helper, 150.0, &[]);
         let observed = grid.iter().filter(|&&c| c >= 0).count();
         let frac = observed as f64 / grid.len() as f64;
         assert!(
@@ -428,8 +435,10 @@ mod tests {
         let w = stage();
         let agent = Vec2::new(60.0, 0.0);
         let helper = Vec2::new(80.0, 0.0);
-        let grid = w.rasterize(&w.los_index(), helper, 150.0, &[agent]);
-        let idx = w.cell_of(agent).unwrap();
+        let grid = w
+            .grid
+            .rasterize(&ObstacleIndex::new(&w.world), helper, 150.0, &[agent]);
+        let idx = w.grid.cell_of(agent).unwrap();
         assert_eq!(grid[idx], 1);
         assert!(grid.iter().filter(|&&c| c == 1).count() >= 1);
     }
@@ -438,7 +447,9 @@ mod tests {
     fn out_of_range_sensor_sees_nothing() {
         let w = stage();
         let far = Vec2::new(0.0, -240.0);
-        let grid = w.rasterize(&w.los_index(), far, 50.0, &[]);
+        let grid = w
+            .grid
+            .rasterize(&ObstacleIndex::new(&w.world), far, 50.0, &[]);
         assert!(grid.iter().all(|&c| c == -1));
     }
 }

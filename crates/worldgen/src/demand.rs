@@ -6,7 +6,7 @@
 //! corridor of whatever world was generated, and the rush-hour/bursty
 //! presets use windows sized for the standard run lengths.
 
-use airdnd_scenario::{DemandProfile, ScenarioWorld};
+use airdnd_scenario::{DemandProfile, HiddenGrid, ScenarioWorld};
 use serde::{Deserialize, Serialize};
 
 /// A demand pattern *recipe*: serializable into sweep configs before the
@@ -41,7 +41,7 @@ impl DemandKind {
             DemandKind::Steady => DemandProfile::Steady,
             DemandKind::RushHour => rush_hour(),
             DemandKind::Bursty => bursty(),
-            DemandKind::CorridorHotspot => corridor_hotspot(stage),
+            DemandKind::CorridorHotspot => corridor_hotspot(&stage.grid),
         }
     }
 }
@@ -66,13 +66,10 @@ pub fn bursty() -> DemandProfile {
 /// A spatial hotspot on the derived hidden corridor: the ego queries at
 /// the base rate only while near the occlusion, four times slower
 /// elsewhere.
-pub fn corridor_hotspot(stage: &ScenarioWorld) -> DemandProfile {
-    let center = stage.hidden_region.center();
-    let radius = stage
-        .hidden_region
-        .width()
-        .max(stage.hidden_region.height())
-        + 60.0;
+pub fn corridor_hotspot(grid: &HiddenGrid) -> DemandProfile {
+    let region = grid.hidden_region;
+    let center = region.center();
+    let radius = region.width().max(region.height()) + 60.0;
     DemandProfile::Hotspot {
         x: center.x,
         y: center.y,
@@ -88,12 +85,12 @@ mod tests {
 
     #[test]
     fn hotspot_centres_on_the_corridor() {
-        let stage = ScenarioWorld::build(250.0, 13.9, 12.0, 40.0);
-        let DemandProfile::Hotspot { x, y, radius, .. } = corridor_hotspot(&stage) else {
+        let grid = ScenarioWorld::build(250.0, 13.9, 12.0, 40.0).grid;
+        let DemandProfile::Hotspot { x, y, radius, .. } = corridor_hotspot(&grid) else {
             panic!("hotspot expected");
         };
-        assert!(stage.hidden_region.contains(Vec2::new(x, y)));
-        assert!(radius > stage.hidden_region.width());
+        assert!(grid.hidden_region.contains(Vec2::new(x, y)));
+        assert!(radius > grid.hidden_region.width());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! shard artifacts); [`FamilyKind::instantiate`] is the deterministic
 //! generation pass: fork a stage RNG from the scenario seed, generate the
 //! map, derive the occlusion grid from the generated geometry
-//! ([`ScenarioWorld::derive`]), hide the ground-truth agents inside the
+//! ([`HiddenGrid::derive`]), hide the ground-truth agents inside the
 //! derived corridor, and place the profile's parked helpers along it.
 //! `airdnd_scenario::run_scenario_in_observed` consumes the result
 //! unchanged — the canonical corner stage is just the
@@ -18,7 +18,7 @@ use crate::maps::{
 };
 use airdnd_geo::Vec2;
 use airdnd_scenario::{
-    FleetSchedule, OcclusionParams, ScenarioConfig, ScenarioWorld, WorldInstance,
+    FleetSchedule, HiddenGrid, OcclusionParams, ScenarioConfig, ScenarioWorld, WorldInstance,
 };
 use airdnd_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -97,10 +97,11 @@ impl FamilyKind {
         } = map;
         let ego_entry = net.approach_node(ego_arm);
         let goal = net.exit_node(goal_arm);
-        let stage = ScenarioWorld::derive(net, world, ego_entry, goal, &OcclusionParams::default())
+        let grid = HiddenGrid::derive(&net, &world, ego_entry, goal, &OcclusionParams::default())
             .unwrap_or_else(|| {
                 panic!("family `{}` must induce an occluded corridor", self.label())
             });
+        let stage = ScenarioWorld { net, world, grid };
         let hidden_agents = corridor_agents(&stage, cfg.hidden_agents);
         let parked = parked_positions(&stage, profile.parked);
         WorldInstance {
@@ -126,7 +127,7 @@ fn stage_rng(seed: u64) -> SimRng {
 /// canonical stage's parked agents. Shares the obstacle-skipping
 /// placement walk with [`parked_positions`].
 fn corridor_agents(stage: &ScenarioWorld, count: usize) -> Vec<Vec2> {
-    crate::fleets::corridor_slots(stage, count, 2.0, false)
+    crate::fleets::corridor_slots(&stage.grid, &stage.world, count, 2.0, false)
 }
 
 /// A registry entry: a family name bound to its default parameters.
@@ -181,10 +182,10 @@ pub fn families() -> Vec<ScenarioFamily> {
 /// of hundreds of origins. The per-route occlusion grid is derived
 /// *once* here — via the instance's own
 /// [`WorldInstance::derive_ego_stage`] — and carried on the instance, so
-/// the runner consumes exactly the stage this generator saw. Ground-truth
+/// the runner consumes exactly the grid this generator saw. Ground-truth
 /// agents are hidden in every extra corridor that derives, so per-ego
 /// detection is measurable. Arms that derive no corridor of their own
-/// still field an ego (their carried stage is the shared grid).
+/// still field an ego (their carried grid is the primary's).
 pub fn assign_extra_egos(instance: &mut WorldInstance, count: usize, hidden_per_ego: usize) {
     let arms = instance.stage.net.arm_count();
     if arms <= 1 {
@@ -206,14 +207,20 @@ pub fn assign_extra_egos(instance: &mut WorldInstance, count: usize, hidden_per_
         let route = airdnd_scenario::EgoRoute { arm, goal_arm };
         let derived = instance.derive_ego_stage(route);
         // Hide agents in this ego's own corridor when one derives.
-        if let Some(stage) = &derived {
-            let agents = crate::fleets::corridor_slots(stage, hidden_per_ego, 2.0, false);
+        if let Some(grid) = &derived {
+            let agents = crate::fleets::corridor_slots(
+                grid,
+                &instance.stage.world,
+                hidden_per_ego,
+                2.0,
+                false,
+            );
             instance.hidden_agents.extend(agents);
         }
         instance.extra_egos.push(route);
         instance
             .extra_ego_stages
-            .push(derived.unwrap_or_else(|| instance.stage.clone()));
+            .push(derived.unwrap_or(instance.stage.grid));
     }
 }
 
@@ -240,13 +247,13 @@ mod tests {
                     .kind
                     .instantiate(&quick_cfg(seed), &FleetProfile::default());
                 assert!(
-                    instance.stage.cell_count() >= 4,
+                    instance.stage.grid.cell_count() >= 4,
                     "{}: corridor grid too small",
                     family.name
                 );
                 for agent in &instance.hidden_agents {
                     assert!(
-                        instance.stage.cell_of(*agent).is_some(),
+                        instance.stage.grid.cell_of(*agent).is_some(),
                         "{}: agent {agent:?} outside the grid",
                         family.name
                     );
@@ -334,11 +341,11 @@ mod tests {
         );
     }
 
-    /// The stage carried on the instance IS the grid the runner uses for
+    /// The grid carried on the instance IS the grid the runner uses for
     /// each extra ego — one derivation, performed here and consumed
-    /// there. Pin both halves of that contract: the carried stage is
-    /// byte-identical to a fresh `derive_ego_stage`, and every agent this
-    /// function hides lands inside its ego's carried grid.
+    /// there. Pin both halves of that contract: the carried grid equals
+    /// a fresh `derive_ego_stage`, and every agent this function hides
+    /// lands inside its ego's carried grid.
     #[test]
     fn extra_ego_agents_land_in_the_carried_grid() {
         let cfg = quick_cfg(9);
@@ -356,9 +363,8 @@ mod tests {
                 .expect("grid arms must derive corridors");
             let carried = &instance.extra_ego_stages[k];
             assert_eq!(
-                serde_json::to_string(carried).unwrap(),
-                serde_json::to_string(&derived).unwrap(),
-                "carried stage must be the authoritative derivation"
+                *carried, derived,
+                "carried grid must be the authoritative derivation"
             );
             placed += extra_agents
                 .iter()
@@ -374,7 +380,9 @@ mod tests {
 
     /// Past one full cycle of arms the deal wraps: a city fields
     /// hundreds of query origins by stacking egos per portal, still
-    /// never on the primary's arm, each carrying a stage.
+    /// never on the primary's arm, each carrying a grid. A wrapped ego
+    /// carries exactly the grid of the first-cycle ego on its arm, which
+    /// is what lets the runner's sensor refresh cover both with one grid.
     #[test]
     fn extra_egos_wrap_past_the_arm_count() {
         let cfg = quick_cfg(11);
@@ -399,8 +407,15 @@ mod tests {
         deduped.sort_unstable();
         deduped.dedup();
         assert_eq!(deduped.len(), arms - 1);
-        // And the wrap repeats the same deal.
-        assert_eq!(instance.extra_egos[arms - 1].arm, first_cycle[0]);
+        // And the wrap repeats the same deal, grid for grid.
+        for k in arms - 1..count {
+            let first = k % (arms - 1);
+            assert_eq!(instance.extra_egos[k].arm, first_cycle[first]);
+            assert_eq!(
+                instance.extra_ego_stages[k], instance.extra_ego_stages[first],
+                "ego {k} must carry the grid of ego {first} on the same arm"
+            );
+        }
     }
 
     /// Extra query origins land on distinct non-primary arms and bring

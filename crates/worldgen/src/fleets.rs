@@ -9,8 +9,8 @@
 //! occluded street are exactly the "excess resources" the paper wants to
 //! rent out.
 
-use airdnd_geo::Vec2;
-use airdnd_scenario::{FleetAction, FleetEvent, FleetSchedule, ScenarioWorld};
+use airdnd_geo::{Vec2, World};
+use airdnd_scenario::{FleetAction, FleetEvent, FleetSchedule, HiddenGrid, ScenarioWorld};
 use airdnd_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -157,19 +157,20 @@ impl ChurnProcess {
     }
 }
 
-/// Fraction-spaced positions along the hidden corridor's long axis at a
+/// Fraction-spaced positions along `grid`'s corridor long axis at a
 /// lateral offset from the centreline — the shared placement pass for
 /// parked helpers and hidden ground-truth agents. `alternate` flips the
-/// offset side slot by slot (kerb-side parking); slots inside obstacles
-/// are skipped (the walk continues past them), so the result may be
-/// shorter than `count` on exotic geometry.
+/// offset side slot by slot (kerb-side parking); slots inside `world`'s
+/// obstacles are skipped (the walk continues past them), so the result
+/// may be shorter than `count` on exotic geometry.
 pub fn corridor_slots(
-    stage: &ScenarioWorld,
+    grid: &HiddenGrid,
+    world: &World,
     count: usize,
     lateral: f64,
     alternate: bool,
 ) -> Vec<Vec2> {
-    let region = stage.hidden_region;
+    let region = grid.hidden_region;
     let along_x = region.width() >= region.height();
     let center = region.center();
     let mut out = Vec::with_capacity(count);
@@ -191,7 +192,7 @@ pub fn corridor_slots(
                 region.min().y + frac * region.height(),
             )
         };
-        if !stage.world.is_inside_obstacle(pos) {
+        if !world.is_inside_obstacle(pos) {
             out.push(pos);
         }
     }
@@ -201,7 +202,7 @@ pub fn corridor_slots(
 /// Places `count` parked helpers deterministically along the hidden
 /// corridor, offset from the centreline like kerb-side parking.
 pub fn parked_positions(stage: &ScenarioWorld, count: usize) -> Vec<Vec2> {
-    corridor_slots(stage, count, 3.0, true)
+    corridor_slots(&stage.grid, &stage.world, count, 3.0, true)
 }
 
 #[cfg(test)]
@@ -245,7 +246,10 @@ mod tests {
         let parked = parked_positions(&stage, 4);
         assert_eq!(parked.len(), 4);
         for p in &parked {
-            assert!(stage.hidden_region.contains(*p), "{p:?} outside corridor");
+            assert!(
+                stage.grid.hidden_region.contains(*p),
+                "{p:?} outside corridor"
+            );
             assert!(!stage.world.is_inside_obstacle(*p));
         }
         // Deterministic.

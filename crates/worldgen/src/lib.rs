@@ -20,7 +20,7 @@
 //!   [`run_scenario_in_observed`](airdnd_scenario::run_scenario_in_observed)
 //!   consumes, with
 //!   the occlusion grid *derived* from the generated geometry
-//!   ([`airdnd_scenario::ScenarioWorld::derive`]).
+//!   ([`airdnd_scenario::HiddenGrid::derive`]).
 //!
 //! ## Determinism contract
 //!

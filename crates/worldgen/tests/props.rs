@@ -196,20 +196,20 @@ proptest! {
 fn generated_grids_index_consistently() {
     for family in airdnd_worldgen::families() {
         let instance = instance_of(family.kind, 77);
-        let stage = &instance.stage;
-        for row in 0..stage.rows {
-            for col in 0..stage.cols {
-                let c = stage.cell_center(col, row);
+        let grid = &instance.stage.grid;
+        for row in 0..grid.rows {
+            for col in 0..grid.cols {
+                let c = grid.cell_center(col, row);
                 assert_eq!(
-                    stage.cell_of(c),
-                    Some(row * stage.cols + col),
+                    grid.cell_of(c),
+                    Some(row * grid.cols + col),
                     "{}: cell ({col},{row}) misindexes",
                     family.name
                 );
             }
         }
         for agent in &instance.hidden_agents {
-            assert!(stage.cell_of(*agent).is_some());
+            assert!(grid.cell_of(*agent).is_some());
         }
     }
 }
