@@ -71,6 +71,20 @@ fn t6_quick_artifacts_match_golden() {
     check_workload("t6");
 }
 
+/// F4, the coverage representative: cooperative coverage, ego-only
+/// coverage and time to detection over fleet size.
+#[test]
+fn f4_quick_artifacts_match_golden() {
+    check_workload("f4");
+}
+
+/// T9, the byzantine representative: invalid results accepted as the
+/// corrupt fraction of the fleet grows.
+#[test]
+fn t9_quick_artifacts_match_golden() {
+    check_workload("t9");
+}
+
 /// G1, the generated-world representative: strategy × family × density
 /// over procedurally generated maps with derived occlusion grids.
 #[test]
