@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn raw_sharing_costs_dwarf_the_payload() {
-        let mut medium = RadioMedium::v2v(World::new(), SimRng::seed_from(1));
+        let mut medium = RadioMedium::v2v(&World::new(), SimRng::seed_from(1));
         let a = NodeAddr::new(1);
         let b = NodeAddr::new(2);
         medium.set_position(a, Vec2::ZERO);
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn raw_sharing_fails_on_dead_links() {
-        let mut medium = RadioMedium::v2v(World::new(), SimRng::seed_from(2));
+        let mut medium = RadioMedium::v2v(&World::new(), SimRng::seed_from(2));
         let a = NodeAddr::new(1);
         let b = NodeAddr::new(2);
         medium.set_position(a, Vec2::ZERO);

@@ -34,7 +34,7 @@ fn city_nodes(nodes: u64) -> (World, Vec<Vec2>) {
 /// 50-node line past four buildings does not.
 fn city_medium(nodes: u64) -> RadioMedium {
     let (world, positions) = city_nodes(nodes);
-    let mut medium = RadioMedium::v2v(world, SimRng::seed_from(1));
+    let mut medium = RadioMedium::v2v(&world, SimRng::seed_from(1));
     for (i, pos) in positions.into_iter().enumerate() {
         medium.set_position(NodeAddr::new(i as u64 + 1), pos);
     }
@@ -49,7 +49,7 @@ fn bench_channel(c: &mut Criterion) {
         b.iter(|| black_box(channel.per_at(black_box(200.0), true, 1.5, 8 * 512)))
     });
 
-    let mut medium = RadioMedium::v2v(World::corner_buildings(12.0, 40.0), SimRng::seed_from(1));
+    let mut medium = RadioMedium::v2v(&World::corner_buildings(12.0, 40.0), SimRng::seed_from(1));
     for i in 0..50u64 {
         medium.set_position(
             NodeAddr::new(i + 1),

@@ -11,8 +11,8 @@
 //!
 //! Every point is a [`MultiEgoConfig`] — the same pure-data config G4
 //! sweeps — so G5 shards, merges, traces and drives through the harness
-//! unchanged, and the per-ego fairness columns come from the same
-//! telemetry registry.
+//! unchanged, and the per-ego fairness columns fold the same outcome
+//! ledger.
 
 use airdnd_harness::{
     fmt_f, Aggregate, ExperimentResult, FnWorkload, Manifest, SeedMode, SweepSpec, Table,

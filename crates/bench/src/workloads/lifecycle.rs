@@ -114,8 +114,9 @@ fn lifecycle_metrics(r: &ScenarioReport) -> Vec<(&'static str, f64)> {
 }
 
 /// Scenario metrics plus the query-origin count and the per-ego fairness
-/// aggregates the telemetry registry computes: the worst-served ego's
-/// completion rate and latency quantiles, and the completion spread.
+/// aggregates the run's outcome ledger folds: the worst-served ego's
+/// completion rate and exact latency quantiles, and the completion
+/// spread.
 pub(crate) fn multi_ego_metrics(r: &ScenarioReport) -> Vec<(&'static str, f64)> {
     let mut metrics = scenario_metrics_with_stages(r);
     metrics.push(("egos", r.egos as f64));

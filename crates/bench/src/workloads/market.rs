@@ -23,7 +23,7 @@ use airdnd_harness::{
     Table,
 };
 use airdnd_radio::NodeAddr;
-use airdnd_scenario::{EventKind, RunTelemetry, Scope, TelemetryOptions};
+use airdnd_scenario::{EventKind, RunTelemetry, TelemetryOptions};
 use airdnd_sim::{SimDuration, SimRng, SimTime};
 use airdnd_task::{Program, ResourceRequirements, TaskId, TaskSpec};
 use serde::{Deserialize, Serialize};
@@ -187,7 +187,6 @@ pub fn market_sim_observed(
                 ego: 0,
             },
         );
-        telemetry.metrics.inc("tasks_submitted", Scope::Ego(0));
         // Backlogs drain while time passes.
         for (id, backlog) in backlogs.iter_mut() {
             *backlog = (*backlog - gas_rates[id] * dt).max(0.0);
@@ -223,7 +222,6 @@ pub fn market_sim_observed(
                     ego: 0,
                 },
             );
-            telemetry.metrics.inc("tasks_failed", Scope::Ego(0));
             continue;
         };
         allocated += 1;
@@ -264,12 +262,6 @@ pub fn market_sim_observed(
                 ego: 0,
                 latency_us: (completion_s * 1.0e6) as u64,
             },
-        );
-        telemetry.metrics.inc("tasks_completed", Scope::Ego(0));
-        telemetry.metrics.observe_us(
-            "task_latency_us",
-            Scope::Ego(0),
-            (completion_s * 1.0e6) as u64,
         );
         completions.push(completion_s);
     }

@@ -33,11 +33,9 @@ pub mod executor;
 pub mod node;
 pub mod protocol;
 pub mod selection;
-pub mod stats;
 
 pub use config::{OrchestratorConfig, SelectionWeights};
 pub use executor::{DeclineReason, ExecutorSim};
 pub use node::{NodeAction, NodeEvent, OrchestratorNode, WireMsg};
 pub use protocol::{OffloadMsg, TaskOutcome};
 pub use selection::{score_candidates, CandidateScore};
-pub use stats::{OrchestratorStats, SessionRecord};

@@ -18,7 +18,6 @@ use crate::config::OrchestratorConfig;
 use crate::executor::{gather_inputs, DeclineReason, ExecutorSim};
 use crate::protocol::{OffloadMsg, RequesterBook, RequesterDirective, TaskOutcome};
 use crate::selection::score_candidates;
-use crate::stats::OrchestratorStats;
 use airdnd_data::{CatalogSummary, DataCatalog, DataType, QualityDescriptor};
 use airdnd_geo::Vec2;
 use airdnd_mesh::{MeshAction, MeshConfig, MeshDescriptor, MeshMsg, MeshNode, NodeAdvert};
@@ -106,7 +105,6 @@ pub struct OrchestratorNode {
     store: BTreeMap<u64, Vec<i64>>,
     trust: ReputationTable,
     privacy: PrivacyPolicy<DataType>,
-    stats: OrchestratorStats,
     velocity: Vec2,
     rng: SimRng,
     /// Output privacy level per in-flight local task.
@@ -139,7 +137,6 @@ impl OrchestratorNode {
             store: BTreeMap::new(),
             trust: ReputationTable::default(),
             privacy: PrivacyPolicy::new(PrivacyLevel::Derived),
-            stats: OrchestratorStats::default(),
             velocity: Vec2::ZERO,
             rng,
             task_levels: BTreeMap::new(),
@@ -155,11 +152,6 @@ impl OrchestratorNode {
     /// Read access to the mesh state machine.
     pub fn mesh(&self) -> &MeshNode {
         &self.mesh
-    }
-
-    /// Read access to aggregate statistics.
-    pub fn stats(&self) -> &OrchestratorStats {
-        &self.stats
     }
 
     /// Read access to the reputation table.
@@ -264,7 +256,6 @@ impl OrchestratorNode {
                         .get(&task)
                         .copied()
                         .unwrap_or(PrivacyLevel::Derived);
-                    self.stats.offers_sent += 1;
                     out.push(NodeAction::Send {
                         to,
                         msg: WireMsg::Offload(OffloadMsg::Offer {
@@ -281,7 +272,6 @@ impl OrchestratorNode {
                 }
                 RequesterDirective::Finished { task, outcome } => {
                     self.task_levels.remove(&task);
-                    self.stats.record_outcome(&outcome);
                     out.push(NodeAction::Outcome { task, outcome });
                 }
             }
@@ -296,7 +286,6 @@ impl OrchestratorNode {
         spec: TaskSpec,
         output_level: PrivacyLevel,
     ) -> Vec<NodeAction> {
-        self.stats.submitted += 1;
         let descriptor = self.descriptor(now);
         let scores = score_candidates(
             &spec,
@@ -381,7 +370,6 @@ impl OrchestratorNode {
                         let inputs = gather_inputs(&self.catalog, &self.store, &task.inputs, now);
                         let Some(inputs) = inputs else {
                             self.executor.cancel(task_id.raw());
-                            self.stats.offers_declined += 1;
                             out.push(NodeAction::Send {
                                 to: from,
                                 msg: WireMsg::Offload(OffloadMsg::Decline {
@@ -397,8 +385,6 @@ impl OrchestratorNode {
                             .execute(now, task_id.raw(), &program, gas, &inputs)
                         {
                             Ok(result) => {
-                                self.stats.offers_accepted += 1;
-                                self.stats.results_returned += 1;
                                 out.push(NodeAction::Send {
                                     to: from,
                                     msg: WireMsg::Offload(OffloadMsg::Accept {
@@ -417,7 +403,6 @@ impl OrchestratorNode {
                                 });
                             }
                             Err(_trap) => {
-                                self.stats.offers_declined += 1;
                                 out.push(NodeAction::Send {
                                     to: from,
                                     msg: WireMsg::Offload(OffloadMsg::Decline {
@@ -429,7 +414,6 @@ impl OrchestratorNode {
                         }
                     }
                     Err(reason) => {
-                        self.stats.offers_declined += 1;
                         out.push(NodeAction::Send {
                             to: from,
                             msg: WireMsg::Offload(OffloadMsg::Decline {
@@ -470,6 +454,7 @@ impl OrchestratorNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::FailReason;
     use airdnd_data::DataQuery;
     use airdnd_sim::SimDuration;
     use airdnd_task::{library, ResourceRequirements};
@@ -501,11 +486,13 @@ mod tests {
     }
 
     /// Lossless instantaneous "wire" between a set of nodes: delivers all
-    /// Send/Broadcast actions, collecting SendAt separately.
+    /// Send/Broadcast actions, collecting SendAt separately, and keeps
+    /// every offload message it routes.
     struct Harness {
         nodes: Vec<OrchestratorNode>,
         delayed: Vec<(usize, NodeAddr, SimTime, WireMsg)>,
         outcomes: Vec<(TaskId, TaskOutcome)>,
+        routed: Vec<OffloadMsg>,
     }
 
     impl Harness {
@@ -514,7 +501,18 @@ mod tests {
                 nodes,
                 delayed: Vec::new(),
                 outcomes: Vec::new(),
+                routed: Vec::new(),
             }
+        }
+
+        fn route(&mut self, msg: &WireMsg) {
+            if let WireMsg::Offload(m) = msg {
+                self.routed.push(m.clone());
+            }
+        }
+
+        fn routed_count(&self, kind: fn(&OffloadMsg) -> bool) -> usize {
+            self.routed.iter().filter(|m| kind(m)).count()
         }
 
         fn index_of(&self, addr: NodeAddr) -> Option<usize> {
@@ -534,11 +532,13 @@ mod tests {
                         }
                     }
                     NodeAction::Send { to, msg } => {
+                        self.route(&msg);
                         if let Some(i) = self.index_of(to) {
                             queue.push((i, src_addr, msg));
                         }
                     }
                     NodeAction::SendAt { to, at, msg } => {
+                        self.route(&msg);
                         self.delayed.push((src, to, at, msg));
                     }
                     NodeAction::Outcome { task, outcome } => self.outcomes.push((task, outcome)),
@@ -558,11 +558,13 @@ mod tests {
                             }
                         }
                         NodeAction::Send { to, msg } => {
+                            self.route(&msg);
                             if let Some(i) = self.index_of(to) {
                                 queue.push((i, dst_addr, msg));
                             }
                         }
                         NodeAction::SendAt { to, at, msg } => {
+                            self.route(&msg);
                             let src_idx = self.index_of(dst_addr).expect("self");
                             self.delayed.push((src_idx, to, at, msg));
                         }
@@ -643,13 +645,16 @@ mod tests {
             }
             other => panic!("expected completion, got {other:?}"),
         }
-        let s = h.nodes[0].stats();
-        assert_eq!(s.submitted, 1);
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.offers_sent, 1);
-        let helper_stats = h.nodes[1].stats();
-        assert_eq!(helper_stats.offers_accepted, 1);
-        assert_eq!(helper_stats.results_returned, 1);
+        // One offer out, one accept and one result back.
+        assert_eq!(h.routed_count(|m| matches!(m, OffloadMsg::Offer { .. })), 1);
+        assert_eq!(
+            h.routed_count(|m| matches!(m, OffloadMsg::Accept { .. })),
+            1
+        );
+        assert_eq!(
+            h.routed_count(|m| matches!(m, OffloadMsg::Result { .. })),
+            1
+        );
     }
 
     #[test]
@@ -659,11 +664,13 @@ mod tests {
         assert!(actions.iter().any(|a| matches!(
             a,
             NodeAction::Outcome {
-                outcome: TaskOutcome::Failed { .. },
+                outcome: TaskOutcome::Failed {
+                    reason: FailReason::NoCandidates,
+                    ..
+                },
                 ..
             }
         )));
-        assert_eq!(lone.stats().failed_no_candidates, 1);
     }
 
     #[test]

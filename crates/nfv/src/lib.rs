@@ -14,8 +14,10 @@
 //!   fit), chain deployment, node-failure healing and migration under
 //!   mobility (experiment T11).
 //!
-//! The orchestrator (`airdnd-core`) treats offloaded TaskVM work and
-//! long-lived VNFs uniformly as consumers of the same resource pools.
+//! The layer stands apart from the orchestrator: `airdnd-core` does not
+//! depend on this crate, and offloaded TaskVM work draws on the
+//! executor's own gas budget, not on these pools. Experiment T11 in
+//! `airdnd-bench` is the one driver of the NF manager.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -159,7 +159,7 @@ impl RadioMedium {
     pub fn new(
         channel: ChannelModel,
         mac: MacParams,
-        world: World,
+        world: &World,
         cs_range: f64,
         rng: SimRng,
     ) -> Self {
@@ -170,7 +170,7 @@ impl RadioMedium {
         RadioMedium {
             channel,
             mac,
-            los: ObstacleIndex::new(&world),
+            los: ObstacleIndex::new(world),
             cs_range,
             horizon: 2.0 * channel.nominal_range(true),
             positions: SpatialGrid::new(cs_range),
@@ -183,7 +183,7 @@ impl RadioMedium {
     }
 
     /// A medium with V2V defaults over the given world.
-    pub fn v2v(world: World, rng: SimRng) -> Self {
+    pub fn v2v(world: &World, rng: SimRng) -> Self {
         let (channel, mac) = crate::profiles::dsrc();
         RadioMedium::new(channel, mac, world, 600.0, rng)
     }
@@ -491,7 +491,7 @@ mod tests {
     use super::*;
 
     fn medium() -> RadioMedium {
-        RadioMedium::v2v(World::new(), SimRng::seed_from(7))
+        RadioMedium::v2v(&World::new(), SimRng::seed_from(7))
     }
 
     /// Brute-force reference for [`RadioMedium::broadcast`]: a medium
@@ -613,8 +613,8 @@ mod tests {
             let span = 3_000.0;
             let world = random_world(&mut rng, span, 40);
             let fast_rng = SimRng::seed_from(seed);
-            let mut fast = RadioMedium::new(channel, mac, world.clone(), 600.0, fast_rng.clone());
-            let slow = RadioMedium::new(channel, mac, world.clone(), 600.0, fast_rng);
+            let mut fast = RadioMedium::new(channel, mac, &world, 600.0, fast_rng.clone());
+            let slow = RadioMedium::new(channel, mac, &world, 600.0, fast_rng);
             let mut slow = Reference::new(slow, world);
             if seed % 2 == 1 {
                 let cap = Some(SimDuration::from_micros(400));
@@ -899,7 +899,7 @@ mod tests {
         world.add_obstacle(airdnd_geo::Obstacle::Rect(
             airdnd_geo::Aabb::from_center_size(Vec2::new(100.0, 0.0), 5.0, 200.0),
         ));
-        let mut m = RadioMedium::new(channel, mac, world, 600.0, SimRng::seed_from(3));
+        let mut m = RadioMedium::new(channel, mac, &world, 600.0, SimRng::seed_from(3));
         let a = NodeAddr::new(1);
         let b = NodeAddr::new(2);
         m.set_position(a, Vec2::ZERO);
@@ -930,7 +930,7 @@ mod tests {
     #[test]
     fn deterministic_for_same_seed() {
         let run = |seed| {
-            let mut m = RadioMedium::v2v(World::new(), SimRng::seed_from(seed));
+            let mut m = RadioMedium::v2v(&World::new(), SimRng::seed_from(seed));
             let a = NodeAddr::new(1);
             let b = NodeAddr::new(2);
             m.set_position(a, Vec2::ZERO);

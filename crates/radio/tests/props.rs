@@ -44,7 +44,7 @@ proptest! {
         payload in 1u64..10_000,
         distance in 1.0f64..1_000.0,
     ) {
-        let mut medium = RadioMedium::v2v(World::new(), SimRng::seed_from(seed));
+        let mut medium = RadioMedium::v2v(&World::new(), SimRng::seed_from(seed));
         let a = NodeAddr::new(1);
         let b = NodeAddr::new(2);
         medium.set_position(a, Vec2::ZERO);
@@ -62,7 +62,7 @@ proptest! {
     /// Broadcast transmits exactly once regardless of the receiver count.
     #[test]
     fn broadcast_single_transmission(seed in any::<u64>(), receivers in 0usize..20) {
-        let mut medium = RadioMedium::v2v(World::new(), SimRng::seed_from(seed));
+        let mut medium = RadioMedium::v2v(&World::new(), SimRng::seed_from(seed));
         let src = NodeAddr::new(1);
         medium.set_position(src, Vec2::ZERO);
         for i in 0..receivers {

@@ -26,6 +26,7 @@
 
 pub mod demand;
 pub mod fleet;
+mod ledger;
 pub mod lifecycle;
 pub mod perception;
 pub mod runner;

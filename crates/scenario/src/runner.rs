@@ -22,13 +22,12 @@
 
 use crate::demand::DemandProfile;
 use crate::fleet::{Fleet, FleetLayout};
+use crate::ledger::Ledger;
 use crate::lifecycle::{FleetAction, FleetSchedule};
 use crate::perception::{fuse_max, is_valid_grid, observed_fraction};
 use crate::world::{HiddenGrid, OcclusionParams, ScenarioWorld};
 use airdnd_baselines::{CloudOffload, LocalOnly};
-use airdnd_core::{
-    NodeAction, NodeEvent, OffloadMsg, OrchestratorConfig, OrchestratorStats, TaskOutcome, WireMsg,
-};
+use airdnd_core::{NodeAction, NodeEvent, OffloadMsg, OrchestratorConfig, TaskOutcome, WireMsg};
 use airdnd_data::{DataQuery, DataType, QualityDescriptor, QualityRequirement};
 use airdnd_engine::Timeline;
 use airdnd_geo::Vec2;
@@ -347,9 +346,10 @@ pub struct ScenarioReport {
     pub mean_executor_utilization: f64,
     /// Completed tasks whose outputs were corrupt (byzantine slipped by).
     pub invalid_results_accepted: u64,
-    /// Fleet-wide offload offers sent.
+    /// Offload offers the runner routed for the run's queries.
     pub offers_sent: u64,
-    /// Fleet-wide results returned by executors.
+    /// Results executors emitted for the run's queries, counted when the
+    /// helper emits them, so a helper that departs later still counts.
     pub results_returned: u64,
     /// Full latency sample list, ms (for CDF plots).
     pub latencies_ms: Vec<f64>,
@@ -364,16 +364,18 @@ pub struct ScenarioReport {
     pub ego_completion_min: f64,
     /// Highest minus lowest per-ego completion rate.
     pub ego_completion_spread: f64,
-    /// Worst per-ego median latency, ms (deterministic histogram bucket
-    /// upper bound from the telemetry registry).
+    /// Worst per-ego median latency, ms: the exact interpolated quantile
+    /// of each ego's completed latencies, worst over the egos that
+    /// completed anything (0 when none did).
     pub ego_p50_worst_ms: f64,
-    /// Worst per-ego 95th-percentile latency, ms (bucket upper bound).
+    /// Worst per-ego 95th-percentile latency, ms, exact like the median.
     pub ego_p95_worst_ms: f64,
     /// Median submit→first-offer time across completed queries, ms — the
     /// discovery stage of the critical path. Strategies that never use
     /// the offload protocol book their whole latency under `exec`. All
-    /// ten stage columns come from the always-on [`QueryTracer`] book,
-    /// so they are identical whether span recording is on or off.
+    /// ten stage columns fold the stage budgets that the always-on
+    /// [`QueryTracer`] hands the outcome ledger, so they are identical
+    /// whether span recording is on or off.
     pub lat_discover_p50_ms: f64,
     /// 95th-percentile discovery time, ms.
     pub lat_discover_p95_ms: f64,
@@ -415,36 +417,25 @@ enum ScenMsg {
         to: NodeAddr,
         msg: Rc<WireMsg>,
     },
-    CloudView {
-        ego: usize,
+    /// A view a non-offload strategy procured for `task`: the cloud's
+    /// fused grid, a raw-shared helper frame, or the ego's own grid.
+    View {
         task: u64,
-        submitted: SimTime,
-        grid: Vec<i64>,
-    },
-    RawView {
-        ego: usize,
-        task: u64,
-        submitted: SimTime,
         grid: Vec<i64>,
     },
 }
 
 /// One query origin's private view of the run: its own derived occlusion
-/// grid, its own local-compute fallback, and its own bookkeeping. Index 0
-/// is the primary ego; extras come from [`WorldInstance::extra_egos`].
+/// grid and its own local-compute fallback. Index 0 is the primary ego;
+/// extras come from [`WorldInstance::extra_egos`]. How its queries end
+/// is the ledger's business.
 struct EgoState {
     addr: NodeAddr,
     grid: HiddenGrid,
     local: LocalOnly,
     task_gas_budget: u64,
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    invalid_accepted: u64,
-    latencies_ms: Vec<f64>,
-    coverage: Vec<f64>,
-    ego_only: Vec<f64>,
-    detect_time: Option<SimTime>,
+    /// Queries this ego has opened: the 1-based `DemandFire` ordinal.
+    queries: u64,
 }
 
 impl EgoState {
@@ -454,14 +445,7 @@ impl EgoState {
             grid,
             local,
             task_gas_budget,
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            invalid_accepted: 0,
-            latencies_ms: Vec::new(),
-            coverage: Vec::new(),
-            ego_only: Vec::new(),
-            detect_time: None,
+            queries: 0,
         }
     }
 }
@@ -488,23 +472,24 @@ struct WorldState {
     spawns: u64,
     despawns: u64,
     tick_count: u64,
-    next_task: u64,
-    /// task id → (submitting ego index, submit time).
-    task_submit_times: std::collections::BTreeMap<u64, (usize, SimTime)>,
+    /// One record per submitted query, indexed by task id: every query
+    /// figure of the report folds it.
+    ledger: Ledger,
     member_samples: Vec<f64>,
     mesh_formation: Option<SimTime>,
     joins: u64,
     leaves: u64,
     /// Typed events, deterministic metrics and phase attribution. The
-    /// registry inside is always populated (fairness fields read from
-    /// it); event/profile recording obeys the run's `TelemetryOptions`.
-    /// Nothing here feeds back into simulation state, RNG streams or
-    /// scheduling — telemetry on vs off is byte-identical in the report.
+    /// registry inside always counts frame drops; event/profile recording
+    /// obeys the run's `TelemetryOptions`. Nothing here feeds back into
+    /// simulation state, RNG streams or scheduling — telemetry on vs off
+    /// is byte-identical in the report.
     telemetry: RunTelemetry,
-    /// Always-on critical-path book (and, when spans are enabled, the
-    /// per-query span-tree recorder). Deterministic integer bookkeeping
-    /// only — the stage columns it feeds are part of the report whether
-    /// span recording is on or off.
+    /// Always-on critical-path tracker for in-flight queries (and, when
+    /// spans are enabled, the per-query span-tree recorder). It hands
+    /// each completed query's stage budget to the ledger; deterministic
+    /// integer bookkeeping only, so the stage columns are part of the
+    /// report whether span recording is on or off.
     tracer: QueryTracer,
 }
 
@@ -527,57 +512,40 @@ impl WorldState {
         )
     }
 
-    fn record_view(
-        &mut self,
-        now: SimTime,
-        submitted: SimTime,
-        remote: &[i64],
-        ego: usize,
-        task: u64,
-    ) {
+    /// Completes `task` with the `remote` grid its strategy procured:
+    /// fuses it into the ego's own view (unless it is corrupt), scores the
+    /// view and settles the query's record.
+    fn record_view(&mut self, now: SimTime, task: u64, remote: &[i64]) {
+        let record = self.ledger.get(task);
+        let (ego, submitted) = (record.ego, record.submitted);
         let mut fused = self.ego_grid(ego);
-        let own = observed_fraction(&fused);
+        let ego_only = observed_fraction(&fused);
         let valid = remote.len() == fused.len() && is_valid_grid(remote);
         if valid {
             fuse_max(&mut fused, remote);
-        } else {
-            self.egos[ego].invalid_accepted += 1;
-            self.telemetry
-                .metrics
-                .inc("invalid_results_accepted", Scope::Ego(ego as u32));
         }
-        let hit = self.egos[ego].detect_time.is_none() && {
+        let hit = self.ledger.first_detection().is_none() && {
             let grid = &self.egos[ego].grid;
             self.hidden_agents
                 .iter()
                 .filter_map(|&a| grid.cell_of(a))
                 .any(|idx| fused.get(idx) == Some(&1))
         };
-        let latency = now.saturating_since(submitted);
-        let state = &mut self.egos[ego];
-        state.completed += 1;
-        state.latencies_ms.push(latency.as_millis_f64());
-        state.coverage.push(observed_fraction(&fused));
-        state.ego_only.push(own);
         if hit {
-            state.detect_time = Some(now);
+            self.ledger.detected(now);
         }
         let actor = self.egos[ego].addr.raw() as u32;
-        let latency_us = latency.as_nanos() / 1_000;
-        // Close the query's span tree and book its critical-path stage
+        let latency_us = now.saturating_since(submitted).as_nanos() / 1_000;
+        // Close the query's span tree and take its critical-path stage
         // budget. Tasks the tracer never saw submitted (cloud / raw /
         // local strategies) attribute their whole latency to execution.
         let budget = self
             .tracer
             .complete(&mut self.telemetry.spans, task, now)
             .unwrap_or_else(|| StageBudget::all_exec(task, latency_us));
-        self.tracer.push_sample(budget);
-        self.telemetry
-            .metrics
-            .inc("tasks_completed", Scope::Ego(ego as u32));
-        self.telemetry
-            .metrics
-            .observe_us("task_latency_us", Scope::Ego(ego as u32), latency_us);
+        let coverage = observed_fraction(&fused);
+        self.ledger
+            .complete(task, now, coverage, ego_only, valid, budget);
         self.telemetry.event(
             now,
             actor,
@@ -618,15 +586,13 @@ impl WorldState {
         );
     }
 
-    /// Books one failed/expired task for `ego` — counters, registry and
+    /// Books one failed/expired task — its record, its span tree and
     /// (when enabled) the typed event, in one place so every failure path
     /// stays consistent.
-    fn record_failure(&mut self, now: SimTime, ego: usize, task: u64) {
+    fn record_failure(&mut self, now: SimTime, task: u64) {
         self.tracer.fail(&mut self.telemetry.spans, task, now);
-        self.egos[ego].failed += 1;
-        self.telemetry
-            .metrics
-            .inc("tasks_failed", Scope::Ego(ego as u32));
+        self.ledger.fail(task);
+        let ego = self.ledger.get(task).ego;
         let actor = self.egos[ego].addr.raw() as u32;
         self.telemetry.event(
             now,
@@ -644,11 +610,35 @@ impl WorldState {
         self.egos[ego].task_gas_budget
     }
 
-    fn perception_task(&mut self, now: SimTime, ego: usize) -> TaskSpec {
+    /// Opens ego `ego`'s next query: its ledger record, the demand-fire
+    /// and submit events, and the task id every strategy arm uses.
+    fn open_query(&mut self, now: SimTime, ego: usize) -> u64 {
+        let state = &mut self.egos[ego];
+        state.queries += 1;
+        let (ordinal, actor) = (state.queries, state.addr.raw() as u32);
+        self.telemetry.event(
+            now,
+            ego as u32,
+            EventKind::DemandFire {
+                ego: ego as u32,
+                task: ordinal,
+            },
+        );
+        let task = self.ledger.open(ego, now);
+        self.telemetry.event(
+            now,
+            actor,
+            EventKind::TaskSubmit {
+                task,
+                ego: ego as u32,
+            },
+        );
+        task
+    }
+
+    fn perception_task(&self, ego: usize, task: u64) -> TaskSpec {
         let cells = self.egos[ego].grid.cell_count() as u32;
-        self.next_task += 1;
-        let id = TaskId::new(self.next_task);
-        self.task_submit_times.insert(id.raw(), (ego, now));
+        let id = TaskId::new(task);
         let query = DataQuery {
             data_type: DataType::OccupancyGrid,
             requirement: QualityRequirement {
@@ -728,6 +718,7 @@ impl WorldState {
                     let size = msg.wire_size_bytes();
                     let (outcome, _) = self.medium.unicast(now, src, to, size);
                     if let WireMsg::Offload(OffloadMsg::Offer { task, .. }) = &msg {
+                        self.ledger.count_offer(task.id.raw());
                         self.tracer.offer_sent(
                             &mut self.telemetry.spans,
                             task.id.raw(),
@@ -772,6 +763,7 @@ impl WorldState {
                     // offloaded kernel: execution started when the offer
                     // arrived (now) and the result is ready at `at`.
                     if let WireMsg::Offload(OffloadMsg::Result { task, .. }) = &msg {
+                        self.ledger.count_result(task.raw());
                         self.tracer.result_ready(
                             &mut self.telemetry.spans,
                             task.raw(),
@@ -789,29 +781,17 @@ impl WorldState {
                         },
                     );
                 }
-                NodeAction::Outcome { task, outcome } => {
-                    let (ego, submitted) = self
-                        .task_submit_times
-                        .remove(&task.raw())
-                        .unwrap_or((0, now));
-                    match outcome {
-                        TaskOutcome::Completed { outputs, .. } => {
-                            self.record_view(now, submitted, &outputs, ego, task.raw());
-                        }
-                        TaskOutcome::Failed { .. } => {
-                            self.record_failure(now, ego, task.raw());
-                        }
+                NodeAction::Outcome { task, outcome } => match outcome {
+                    TaskOutcome::Completed { outputs, .. } => {
+                        self.record_view(now, task.raw(), &outputs);
                     }
-                }
+                    TaskOutcome::Failed { .. } => self.record_failure(now, task.raw()),
+                },
                 NodeAction::MeshJoined(_) => {
                     self.joins += 1;
                     if src == self.fleet.ego().node.addr() && self.mesh_formation.is_none() {
                         self.mesh_formation = Some(now);
                     }
-                    self.telemetry
-                        .metrics
-                        .inc("mesh_joins", Scope::Node(src.raw() as u32));
-                    self.telemetry.metrics.inc("mesh_joins", Scope::Global);
                     self.telemetry.event(
                         now,
                         src.raw() as u32,
@@ -822,10 +802,6 @@ impl WorldState {
                 }
                 NodeAction::MeshLeft(_) => {
                     self.leaves += 1;
-                    self.telemetry
-                        .metrics
-                        .inc("mesh_leaves", Scope::Node(src.raw() as u32));
-                    self.telemetry.metrics.inc("mesh_leaves", Scope::Global);
                     self.telemetry.event(
                         now,
                         src.raw() as u32,
@@ -1036,37 +1012,13 @@ impl WorldState {
     }
 
     fn submit_perception(&mut self, tl: &mut Timeline<ScenMsg>, now: SimTime, ego: usize) {
-        let ordinal = self.egos[ego].submitted + 1;
-        self.telemetry.event(
-            now,
-            ego as u32,
-            EventKind::DemandFire {
-                ego: ego as u32,
-                task: ordinal,
-            },
-        );
-        self.telemetry
-            .metrics
-            .inc("tasks_submitted", Scope::Ego(ego as u32));
+        let task = self.open_query(now, ego);
         match self.cfg.strategy {
             Strategy::Airdnd => {
-                self.egos[ego].submitted += 1;
-                let spec = self.perception_task(now, ego);
+                let spec = self.perception_task(ego, task);
                 let addr = self.egos[ego].addr;
-                self.tracer.submit(
-                    &mut self.telemetry.spans,
-                    spec.id.raw(),
-                    addr.raw() as u32,
-                    now,
-                );
-                self.telemetry.event(
-                    now,
-                    addr.raw() as u32,
-                    EventKind::TaskSubmit {
-                        task: spec.id.raw(),
-                        ego: ego as u32,
-                    },
-                );
+                self.tracer
+                    .submit(&mut self.telemetry.spans, task, addr.raw() as u32, now);
                 let idx = self.fleet.index_of(addr).expect("ego vehicles persist");
                 let actions = self
                     .fleet
@@ -1077,18 +1029,6 @@ impl WorldState {
                 self.process_actions(tl, now, addr, actions);
             }
             Strategy::Cloud { .. } => {
-                self.egos[ego].submitted += 1;
-                self.next_task += 1;
-                let task = self.next_task;
-                let submit_actor = self.egos[ego].addr.raw() as u32;
-                self.telemetry.event(
-                    now,
-                    submit_actor,
-                    EventKind::TaskSubmit {
-                        task,
-                        ego: ego as u32,
-                    },
-                );
                 // Every vehicle uploads its raw frame; the cloud fuses all
                 // views; the ego downloads the result.
                 let raw =
@@ -1118,27 +1058,10 @@ impl WorldState {
                 }
                 tl.schedule_at(
                     now + last_done.saturating_since(now),
-                    ScenMsg::CloudView {
-                        ego,
-                        task,
-                        submitted: now,
-                        grid: fused,
-                    },
+                    ScenMsg::View { task, grid: fused },
                 );
             }
             Strategy::RawSharing => {
-                self.egos[ego].submitted += 1;
-                self.next_task += 1;
-                let task = self.next_task;
-                let submit_actor = self.egos[ego].addr.raw() as u32;
-                self.telemetry.event(
-                    now,
-                    submit_actor,
-                    EventKind::TaskSubmit {
-                        task,
-                        ego: ego as u32,
-                    },
-                );
                 // Pick the freshest-linked mesh member and pull its frame.
                 let ego_addr = self.egos[ego].addr;
                 let ego_idx = self.fleet.index_of(ego_addr).expect("ego vehicles persist");
@@ -1159,11 +1082,11 @@ impl WorldState {
                     })
                     .map(|m| m.addr);
                 let Some(helper_addr) = best else {
-                    self.record_failure(now, ego, task);
+                    self.record_failure(now, task);
                     return;
                 };
                 let Some(helper_idx) = self.fleet.index_of(helper_addr) else {
-                    self.record_failure(now, ego, task);
+                    self.record_failure(now, task);
                     return;
                 };
                 let raw =
@@ -1191,43 +1114,19 @@ impl WorldState {
                     Some((done, _bytes)) => {
                         tl.schedule_at(
                             now + done.saturating_since(now),
-                            ScenMsg::RawView {
-                                ego,
-                                task,
-                                submitted: now,
-                                grid,
-                            },
+                            ScenMsg::View { task, grid },
                         );
                     }
-                    None => {
-                        self.record_failure(now, ego, task);
-                    }
+                    None => self.record_failure(now, task),
                 }
             }
             Strategy::LocalOnly => {
-                self.egos[ego].submitted += 1;
-                self.next_task += 1;
-                let task = self.next_task;
-                let submit_actor = self.egos[ego].addr.raw() as u32;
-                self.telemetry.event(
-                    now,
-                    submit_actor,
-                    EventKind::TaskSubmit {
-                        task,
-                        ego: ego as u32,
-                    },
-                );
                 let gas = self.task_gas(ego);
                 let done = self.egos[ego].local.run(now, gas);
                 let grid = self.ego_grid(ego);
                 tl.schedule_at(
                     now + done.saturating_since(now),
-                    ScenMsg::RawView {
-                        ego,
-                        task,
-                        submitted: now,
-                        grid,
-                    },
+                    ScenMsg::View { task, grid },
                 );
             }
         }
@@ -1276,34 +1175,15 @@ impl WorldState {
             ScenMsg::TransmitAt { src, to, msg } => {
                 let size = msg.wire_size_bytes();
                 let outcome = self.medium.unicast(now, src, to, size).0;
-                match &*msg {
-                    WireMsg::Offload(OffloadMsg::Offer { task, .. }) => {
-                        self.tracer.offer_sent(
-                            &mut self.telemetry.spans,
-                            task.id.raw(),
-                            to.raw() as u32,
-                            now,
-                            outcome.delivered_at(),
-                        );
-                        self.telemetry.event(
-                            now,
-                            src.raw() as u32,
-                            EventKind::TaskOffload {
-                                task: task.id.raw(),
-                                executor: to.raw() as u32,
-                            },
-                        );
-                    }
-                    WireMsg::Offload(OffloadMsg::Result { task, .. }) => {
-                        self.tracer.result_sent(
-                            &mut self.telemetry.spans,
-                            task.raw(),
-                            src.raw() as u32,
-                            now,
-                            outcome.delivered_at(),
-                        );
-                    }
-                    _ => {}
+                // Nodes defer only results (see `NodeAction::SendAt`).
+                if let WireMsg::Offload(OffloadMsg::Result { task, .. }) = &*msg {
+                    self.tracer.result_sent(
+                        &mut self.telemetry.spans,
+                        task.raw(),
+                        src.raw() as u32,
+                        now,
+                        outcome.delivered_at(),
+                    );
                 }
                 self.telemetry.event(
                     now,
@@ -1324,20 +1204,7 @@ impl WorldState {
                     );
                 }
             }
-            ScenMsg::CloudView {
-                ego,
-                task,
-                submitted,
-                grid,
-            }
-            | ScenMsg::RawView {
-                ego,
-                task,
-                submitted,
-                grid,
-            } => {
-                self.record_view(now, submitted, &grid, ego, task);
-            }
+            ScenMsg::View { task, grid } => self.record_view(now, task, &grid),
         }
     }
 }
@@ -1362,10 +1229,17 @@ pub fn run_scenario(cfg: ScenarioConfig) -> ScenarioReport {
 /// phase profiling and spans, as far as `opts` enables them. Telemetry
 /// never changes the report.
 pub fn run_scenario_in_observed(
-    mut world: WorldInstance,
+    world: WorldInstance,
     cfg: ScenarioConfig,
     opts: TelemetryOptions,
 ) -> (ScenarioReport, RunTelemetry) {
+    report(simulate(world, cfg, opts))
+}
+
+/// Builds the run's state from `world` and `cfg`, then pops the event
+/// timeline until the horizon. The returned state holds the finished
+/// ledger.
+fn simulate(mut world: WorldInstance, cfg: ScenarioConfig, opts: TelemetryOptions) -> WorldState {
     world.ensure_ego_stages();
     let WorldInstance {
         stage,
@@ -1445,7 +1319,7 @@ pub fn run_scenario_in_observed(
             sensor_stages.push(ego.grid);
         }
     }
-    let mut medium = RadioMedium::v2v(stage.world.clone(), rng.fork(0xC0DE));
+    let mut medium = RadioMedium::v2v(&stage.world, rng.fork(0xC0DE));
     if let Some(loss_db) = obstacle_loss_db {
         medium.set_obstacle_loss_db(loss_db);
     }
@@ -1475,8 +1349,7 @@ pub fn run_scenario_in_observed(
         spawns: 0,
         despawns: 0,
         tick_count: 0,
-        next_task: 0,
-        task_submit_times: std::collections::BTreeMap::new(),
+        ledger: Ledger::default(),
         member_samples: Vec::new(),
         mesh_formation: None,
         joins: 0,
@@ -1496,82 +1369,65 @@ pub fn run_scenario_in_observed(
     // Queries still in flight at the horizon expire their spans there so
     // the recorded tree is well-formed (every span closed or expired).
     state.tracer.finish(&mut state.telemetry.spans, horizon);
-    let telemetry = std::mem::take(&mut state.telemetry);
+    state
+}
 
+/// Folds a finished run into its report. Every query figure reads the
+/// ledger.
+fn report(mut state: WorldState) -> (ScenarioReport, RunTelemetry) {
+    let telemetry = std::mem::take(&mut state.telemetry);
+    let cfg = state.cfg;
     let duration_s = cfg.duration.as_secs_f64();
-    let mut fleet_stats = OrchestratorStats::default();
-    for v in state.fleet.iter() {
-        fleet_stats.merge(v.node.stats());
-    }
     let mut utilizations = Vec::new();
     for v in state.fleet.iter().skip(1) {
         let (_, gas) = v.node.executor().totals();
         utilizations.push(gas as f64 / v.node.executor().gas_rate() as f64 / duration_s);
     }
-    // Fold the per-ego books into the fleet-level report (sample lists
-    // concatenate in ego order; a single ego reproduces the historical
-    // aggregation exactly).
-    let submitted: u64 = state.egos.iter().map(|e| e.submitted).sum();
-    let completed: u64 = state.egos.iter().map(|e| e.completed).sum();
-    let failed: u64 = state.egos.iter().map(|e| e.failed).sum();
-    let invalid_accepted: u64 = state.egos.iter().map(|e| e.invalid_accepted).sum();
-    let latencies: Vec<f64> = state
-        .egos
-        .iter()
-        .flat_map(|e| e.latencies_ms.iter().copied())
-        .collect();
-    let coverage: Vec<f64> = state
-        .egos
-        .iter()
-        .flat_map(|e| e.coverage.iter().copied())
-        .collect();
-    let ego_only: Vec<f64> = state
-        .egos
-        .iter()
-        .flat_map(|e| e.ego_only.iter().copied())
-        .collect();
-    let detect_time = state.egos.iter().filter_map(|e| e.detect_time).min();
-    let lat = &latencies;
+    // Completed queries ego by ego, each ego's in completion order (a
+    // single ego reproduces plain completion order). The float sums
+    // below run in this order.
+    let ledger = &state.ledger;
+    let done = ledger.completed();
+    let lat: Vec<f64> = done.iter().map(|(q, c)| q.latency_ms(c)).collect();
+    let coverage: Vec<f64> = done.iter().map(|(_, c)| c.coverage).collect();
+    let ego_only: Vec<f64> = done.iter().map(|(_, c)| c.ego_only).collect();
+    let invalid_accepted = done.iter().filter(|(_, c)| !c.valid).count() as u64;
+    let tallies = ledger.tallies(state.egos.len());
+    let submitted = ledger.records().len() as u64;
+    let completed = done.len() as u64;
+    let failed: u64 = tallies.iter().map(|t| t.failed).sum();
     let cellular_bytes = state.cloud.as_ref().map_or(0, CloudOffload::bytes_total);
     let mesh_bytes = state.medium.bytes_on_air_total();
-    // Per-ego fairness, straight from the deterministic metrics registry:
-    // the worst-served ego's completion rate and latency quantiles, plus
-    // the completion-rate spread across egos. Integer counters in, so the
-    // values are identical whether event logging is on or off.
-    let ego_rates: Vec<f64> = (0..state.egos.len())
-        .map(|e| {
-            let scope = Scope::Ego(e as u32);
-            let sub = telemetry.metrics.counter("tasks_submitted", scope);
-            let done = telemetry.metrics.counter("tasks_completed", scope);
-            if sub == 0 {
+    // Per-ego fairness: the worst-served ego's completion rate and exact
+    // latency quantiles, plus the completion-rate spread across egos.
+    let ego_rates: Vec<f64> = tallies
+        .iter()
+        .map(|t| {
+            if t.submitted == 0 {
                 1.0
             } else {
-                done as f64 / sub as f64
+                t.completed as f64 / t.submitted as f64
             }
         })
         .collect();
     let ego_completion_min = ego_rates.iter().copied().fold(1.0, f64::min);
     let ego_completion_spread = ego_rates.iter().copied().fold(0.0, f64::max) - ego_completion_min;
+    let mut ego_lat: Vec<Vec<f64>> = vec![Vec::new(); state.egos.len()];
+    for ((q, _), &ms) in done.iter().zip(&lat) {
+        ego_lat[q.ego].push(ms);
+    }
     let worst_quantile_ms = |q: f64| {
-        (0..state.egos.len())
-            .filter_map(|e| {
-                telemetry
-                    .metrics
-                    .histogram("task_latency_us", Scope::Ego(e as u32))
-                    .and_then(|h| h.quantile_us(q))
-            })
-            .max()
-            .map_or(0.0, |us| us as f64 / 1_000.0)
-    };
-    // Critical-path stage decomposition from the always-on tracer book:
-    // one sample per completed query, in completion order, each stage a
-    // clamped partition of that query's end-to-end latency.
-    let stage_quantile_ms = |stage_us: fn(&StageBudget) -> u64, q: f64| {
-        let samples: Vec<f64> = state
-            .tracer
-            .samples()
+        ego_lat
             .iter()
-            .map(|b| stage_us(b) as f64 / 1_000.0)
+            .filter_map(|l| percentile(l, q))
+            .fold(0.0, f64::max)
+    };
+    // Critical-path stage decomposition: one budget per completed query,
+    // each stage a clamped partition of that query's end-to-end latency.
+    let stage_quantile_ms = |stage_us: fn(&StageBudget) -> u64, q: f64| {
+        let samples: Vec<f64> = done
+            .iter()
+            .map(|(_, c)| stage_us(&c.budget) as f64 / 1_000.0)
             .collect();
         percentile(&samples, q).unwrap_or(0.0)
     };
@@ -1587,13 +1443,9 @@ pub fn run_scenario_in_observed(
         } else {
             completed as f64 / submitted as f64
         },
-        latency_mean_ms: if lat.is_empty() {
-            0.0
-        } else {
-            lat.iter().sum::<f64>() / lat.len() as f64
-        },
-        latency_p50_ms: percentile(lat, 0.5).unwrap_or(0.0),
-        latency_p95_ms: percentile(lat, 0.95).unwrap_or(0.0),
+        latency_mean_ms: mean(&lat),
+        latency_p50_ms: percentile(&lat, 0.5).unwrap_or(0.0),
+        latency_p95_ms: percentile(&lat, 0.95).unwrap_or(0.0),
         latency_max_ms: lat.iter().copied().fold(0.0, f64::max),
         mesh_bytes,
         cellular_bytes,
@@ -1604,16 +1456,15 @@ pub fn run_scenario_in_observed(
         },
         mean_coverage: mean(&coverage),
         ego_only_coverage: mean(&ego_only),
-        time_to_detect_s: detect_time.map(|t| t.as_secs_f64()),
+        time_to_detect_s: ledger.first_detection().map(|t| t.as_secs_f64()),
         mesh_formation_s: state.mesh_formation.map(|t| t.as_secs_f64()),
         mean_members: mean(&state.member_samples),
         joins: state.joins,
         leaves: state.leaves,
         mean_executor_utilization: mean(&utilizations),
         invalid_results_accepted: invalid_accepted,
-        offers_sent: fleet_stats.offers_sent,
-        results_returned: fleet_stats.results_returned,
-        latencies_ms: lat.clone(),
+        offers_sent: ledger.records().iter().map(|q| q.offers).sum(),
+        results_returned: ledger.records().iter().map(|q| q.results).sum(),
         egos: state.egos.len(),
         lifecycle_spawns: state.spawns,
         lifecycle_despawns: state.despawns,
@@ -1631,6 +1482,7 @@ pub fn run_scenario_in_observed(
         lat_exec_p95_ms: stage_quantile_ms(|b| b.exec_us, 0.95),
         lat_return_p50_ms: stage_quantile_ms(|b| b.return_us, 0.5),
         lat_return_p95_ms: stage_quantile_ms(|b| b.return_us, 0.95),
+        latencies_ms: lat,
     };
     (report, telemetry)
 }
@@ -1682,6 +1534,98 @@ mod tests {
         assert!(r.latency_p50_ms > 0.0 && r.latency_p50_ms < 1_000.0);
         assert!(r.mesh_bytes > 0);
         assert_eq!(r.cellular_bytes, 0);
+        // One ego: its exact quantiles are the run's.
+        assert_eq!(r.egos, 1);
+        assert!(r.ego_p50_worst_ms == r.latency_p50_ms);
+        assert!(r.ego_p95_worst_ms == r.latency_p95_ms);
+    }
+
+    /// Every query ends exactly once: per ego, completed + failed + in
+    /// flight = submitted, and the typed task events (an independent
+    /// record) agree with the ledger. Over a churned run, whose departing
+    /// helpers hold in-flight work, and a three-ego run.
+    #[test]
+    fn every_query_ends_exactly_once() {
+        use crate::lifecycle::FleetEvent;
+        let cfg = ScenarioConfig {
+            seed: 11,
+            vehicles: 8,
+            duration: SimDuration::from_secs(20),
+            ..Default::default()
+        };
+        let mut churned = WorldInstance::canonical(&cfg);
+        churned.schedule = FleetSchedule::new(
+            (0..6u32)
+                .flat_map(|k| {
+                    [
+                        FleetEvent {
+                            at_s: 2.0 + 3.0 * f64::from(k),
+                            action: FleetAction::Spawn { arm: k as usize },
+                        },
+                        FleetEvent {
+                            at_s: 3.5 + 3.0 * f64::from(k),
+                            action: FleetAction::Despawn {
+                                graceful: k % 2 == 0,
+                            },
+                        },
+                    ]
+                })
+                .collect(),
+        );
+        let mut multi = WorldInstance::canonical(&cfg);
+        multi.extra_egos = vec![
+            EgoRoute {
+                arm: 1,
+                goal_arm: 3,
+            },
+            EgoRoute {
+                arm: 2,
+                goal_arm: 0,
+            },
+        ];
+        for (world, egos) in [(churned, 1), (multi, 3)] {
+            let state = simulate(world, cfg, TelemetryOptions::events(1 << 16));
+            let tallies = state.ledger.tallies(state.egos.len());
+            assert_eq!(tallies.len(), egos);
+            let events = |ego: usize, kind: fn(&EventKind) -> Option<u32>| {
+                state
+                    .telemetry
+                    .events
+                    .query()
+                    .matching(|r| kind(&r.event.kind) == Some(ego as u32))
+                    .count() as u64
+            };
+            for (ego, tally) in tallies.iter().enumerate() {
+                assert!(tally.submitted > 10, "ego {ego}: {tally:?}");
+                assert_eq!(
+                    tally.completed + tally.failed + tally.in_flight,
+                    tally.submitted,
+                    "ego {ego}"
+                );
+                assert_eq!(tally.submitted, state.egos[ego].queries, "ego {ego}");
+                let submits = events(ego, |k| match k {
+                    EventKind::TaskSubmit { ego, .. } => Some(*ego),
+                    _ => None,
+                });
+                let completes = events(ego, |k| match k {
+                    EventKind::TaskComplete { ego, .. } => Some(*ego),
+                    _ => None,
+                });
+                let expiries = events(ego, |k| match k {
+                    EventKind::TaskExpire { ego, .. } => Some(*ego),
+                    _ => None,
+                });
+                assert_eq!(submits, tally.submitted, "ego {ego}");
+                assert_eq!(completes, tally.completed, "ego {ego}");
+                assert_eq!(expiries, tally.failed, "ego {ego}");
+            }
+            let in_flight: u64 = tallies.iter().map(|t| t.in_flight).sum();
+            let (r, _) = report(state);
+            assert_eq!(
+                r.tasks_completed + r.tasks_failed + in_flight,
+                r.tasks_submitted
+            );
+        }
     }
 
     #[test]

@@ -66,6 +66,20 @@ fn churn_applies_every_event_and_keeps_serving() {
     // The mesh observed the turnover: more joins than a static 8-vehicle
     // run needs, and real leaves.
     assert!(report.leaves > 0, "departures must be observed as leaves");
+    // Every completion took an offer out and a result back, and a helper
+    // that departed afterwards still counts both.
+    assert!(
+        report.results_returned >= report.tasks_completed,
+        "results {} < completions {}",
+        report.results_returned,
+        report.tasks_completed
+    );
+    assert!(
+        report.offers_sent >= report.tasks_completed,
+        "offers {} < completions {}",
+        report.offers_sent,
+        report.tasks_completed
+    );
 }
 
 /// Despawning a task-holding vehicle is trace-visible and safe: the event

@@ -207,7 +207,6 @@ struct Inflight {
 #[derive(Clone, Debug, Default)]
 pub struct QueryTracer {
     inflight: BTreeMap<u64, Inflight>,
-    samples: Vec<StageBudget>,
 }
 
 impl QueryTracer {
@@ -370,10 +369,7 @@ impl QueryTracer {
     /// the winner is known) and returns the query's stage budget — or
     /// `None` for tasks this tracer never saw submitted (non-offload
     /// strategies), which the caller books via [`StageBudget::all_exec`].
-    ///
-    /// The budget is **not** pushed to [`Self::samples`]; call
-    /// [`Self::push_sample`] with the final budget so the sample list
-    /// covers every completion in order.
+    /// The caller keeps the budget; the tracer forgets the query.
     pub fn complete(&mut self, log: &mut SpanLog, task: u64, now: SimTime) -> Option<StageBudget> {
         let entry = self.inflight.remove(&task)?;
         if let Some(root) = entry.root {
@@ -428,12 +424,6 @@ impl QueryTracer {
         }
     }
 
-    /// Appends one completed query's budget to the sample list (in
-    /// completion order — the percentile inputs for the report columns).
-    pub fn push_sample(&mut self, budget: StageBudget) {
-        self.samples.push(budget);
-    }
-
     /// End-of-run sweep: queries still in flight at the horizon expire
     /// their root spans there, and any other leaked span is expired too.
     pub fn finish(&mut self, log: &mut SpanLog, horizon: SimTime) {
@@ -442,11 +432,6 @@ impl QueryTracer {
             self.fail(log, task, horizon);
         }
         log.expire_open(horizon);
-    }
-
-    /// Every completed query's budget, in completion order.
-    pub fn samples(&self) -> &[StageBudget] {
-        &self.samples
     }
 }
 
@@ -537,7 +522,7 @@ mod tests {
         tracer.result_ready(&mut log, 7, 21, t(11), t(30));
         tracer.result_sent(&mut log, 7, 21, t(30), Some(t(32)));
         let book = tracer.complete(&mut log, 7, t(32)).expect("tracked");
-        tracer.push_sample(book);
+        let budgets = vec![book];
         tracer.finish(&mut log, t(100));
 
         assert_eq!(book.total_us, 32_000);
@@ -561,7 +546,7 @@ mod tests {
         assert_eq!(flights.len(), 2);
         assert_eq!(flights[0].status, SpanStatus::Expired);
         assert_eq!(flights[1].follows_from, Some(flights[0].id));
-        assert_eq!(tracer.samples(), &[book]);
+        assert_eq!(budgets, [book]);
     }
 
     #[test]
@@ -577,9 +562,11 @@ mod tests {
     fn expired_queries_leave_expired_roots_and_no_samples() {
         let mut log = SpanLog::enabled();
         let mut tracer = QueryTracer::new();
+        let mut budgets: Vec<StageBudget> = Vec::new();
         tracer.submit(&mut log, 1, 1, t(0));
         tracer.submit(&mut log, 2, 1, t(1));
         tracer.fail(&mut log, 1, t(9));
+        budgets.extend(tracer.complete(&mut log, 1, t(10)));
         tracer.finish(&mut log, t(63)); // task 2 still in flight
         crate::span::validate_spans(log.spans()).expect("well-formed");
         let roots: Vec<_> = log
@@ -589,7 +576,7 @@ mod tests {
             .collect();
         assert_eq!(roots.len(), 2);
         assert!(roots.iter().all(|r| r.status == SpanStatus::Expired));
-        assert!(tracer.samples().is_empty());
+        assert!(budgets.is_empty());
         assert!(
             extract(log.spans(), 1).is_none(),
             "expired roots extract to None"

@@ -394,8 +394,7 @@ mod tests {
         tracer.offer_sent(&mut log, 1, 7, t(3), Some(t(4)));
         tracer.result_ready(&mut log, 1, 7, t(4), t(8));
         tracer.result_sent(&mut log, 1, 7, t(8), Some(t(9)));
-        let budget = tracer.complete(&mut log, 1, t(9)).unwrap();
-        tracer.push_sample(budget);
+        tracer.complete(&mut log, 1, t(9)).expect("tracked");
         tracer.finish(&mut log, t(10));
         log.spans().to_vec()
     }

@@ -14,11 +14,12 @@
 //!   never touches simulation state, RNG streams or scheduling, so a run
 //!   with telemetry on reports **byte-identical** results to one with
 //!   telemetry off.
-//! * [`Registry`] — a deterministic metrics registry: integer counters
-//!   and fixed-bucket histograms keyed per node and per ego. No wall
+//! * [`Registry`] — a deterministic metrics registry of run-wide integer
+//!   counters (frame drops, and drops at the MAC queue cap). No wall
 //!   clock, no floats on the recording path — the registry is part of
-//!   the deterministic output surface (per-ego fairness in G4 reads from
-//!   it).
+//!   the deterministic output surface. Per-query figures, per-ego
+//!   fairness included, come from the scenario runner's outcome ledger
+//!   instead.
 //! * [`export`] — a JSONL event log (one object per line, byte-exact
 //!   round-trip) and a Chrome-trace/Perfetto-compatible timeline, both
 //!   pure functions of the event log (sim time only, stable ordering).
@@ -46,7 +47,7 @@ pub mod span;
 pub use critical_path::{extract, QueryTracer, Stage, StageBudget};
 pub use event::{DropReason, Event, EventCategory, EventKind};
 pub use log::{EventLog, Recorded};
-pub use metrics::{FixedHistogram, Registry, Scope};
+pub use metrics::{Registry, Scope};
 pub use profile::{Phase, PhaseProfiler};
 pub use query::TraceQuery;
 pub use span::{validate_spans, Span, SpanId, SpanKind, SpanLog, SpanStatus};
@@ -124,13 +125,13 @@ impl TelemetryOptions {
 /// deterministic metrics registry and the (wall-clock) phase profile.
 ///
 /// The registry is always populated — it is deterministic integer state
-/// and some report fields derive from it — while the event log and the
-/// profiler obey [`TelemetryOptions`].
+/// that perfbench reads — while the event log and the profiler obey
+/// [`TelemetryOptions`].
 #[derive(Clone, Debug)]
 pub struct RunTelemetry {
     /// Typed events, recorded when enabled.
     pub events: EventLog,
-    /// Deterministic counters and histograms (always on).
+    /// Deterministic run-wide counters (always on).
     pub metrics: Registry,
     /// Wall-clock phase attribution, recorded when enabled.
     pub phases: PhaseProfiler,

@@ -1,133 +1,27 @@
 //! The deterministic metrics registry.
 //!
-//! Counters and histograms here are part of the *deterministic output
-//! surface*: they hold only integers, never read a wall clock, and
-//! iterate in `BTreeMap` order, so two runs with the same seed produce
+//! Counters here are part of the *deterministic output surface*: they
+//! hold only integers, never read a wall clock, and iterate in
+//! `BTreeMap` order, so two runs with the same seed produce
 //! byte-identical registries regardless of thread count or telemetry
-//! settings. G4's per-ego fairness columns are computed from this
-//! registry rather than from ad-hoc bookkeeping in the runner.
+//! settings. The registry holds run-wide counters only; every figure
+//! about a query, per-ego fairness included, is a fold over the
+//! scenario runner's outcome ledger.
 
-use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// What a metric is keyed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scope {
     /// A run-wide metric.
     Global,
-    /// A metric attributed to one node address.
-    Node(u32),
-    /// A metric attributed to one ego (query origin) index.
-    Ego(u32),
 }
 
-impl fmt::Display for Scope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Scope::Global => f.write_str("global"),
-            Scope::Node(n) => write!(f, "node#{n}"),
-            Scope::Ego(e) => write!(f, "ego#{e}"),
-        }
-    }
-}
-
-/// A fixed-bucket latency histogram over microseconds.
-///
-/// Bucket bounds follow a 1-2-5 decade ladder from 100 µs to 50 s; the
-/// ladder is compiled in, so histograms from different runs (or shards)
-/// are always mergeable and quantiles are deterministic. A reported
-/// quantile is the *upper bound* of the bucket containing it — a
-/// conservative, reproducible answer rather than an interpolated one.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FixedHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum_us: u64,
-}
-
-/// Bucket upper bounds in microseconds (1-2-5 ladder, 100 µs .. 50 s).
-pub const BUCKET_BOUNDS_US: [u64; 18] = [
-    100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
-    1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000, 50_000_000,
-];
-
-impl FixedHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        FixedHistogram {
-            counts: vec![0; BUCKET_BOUNDS_US.len() + 1],
-            total: 0,
-            sum_us: 0,
-        }
-    }
-
-    /// Records one observation in microseconds.
-    pub fn observe_us(&mut self, value_us: u64) {
-        let idx = BUCKET_BOUNDS_US
-            .iter()
-            .position(|&bound| value_us <= bound)
-            .unwrap_or(BUCKET_BOUNDS_US.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum_us = self.sum_us.saturating_add(value_us);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of all observations, microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us
-    }
-
-    /// The deterministic quantile: the upper bound (in µs) of the bucket
-    /// containing quantile `q` in `[0, 1]`. Observations beyond the last
-    /// bound report that last bound. Returns `None` on an empty
-    /// histogram.
-    pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(
-                    BUCKET_BOUNDS_US
-                        .get(idx)
-                        .copied()
-                        .unwrap_or(BUCKET_BOUNDS_US[BUCKET_BOUNDS_US.len() - 1]),
-                );
-            }
-        }
-        Some(BUCKET_BOUNDS_US[BUCKET_BOUNDS_US.len() - 1])
-    }
-
-    /// Merges another histogram into this one (same compiled-in ladder).
-    pub fn merge(&mut self, other: &FixedHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-    }
-}
-
-impl Default for FixedHistogram {
-    fn default() -> Self {
-        FixedHistogram::new()
-    }
-}
-
-/// Integer counters and fixed-bucket histograms keyed by name and scope.
+/// Integer counters keyed by a static name and a scope. Names are
+/// `&'static str`, so a hot-path increment allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    counters: BTreeMap<(String, Scope), u64>,
-    histograms: BTreeMap<(String, Scope), FixedHistogram>,
+    counters: BTreeMap<(&'static str, Scope), u64>,
 }
 
 impl Registry {
@@ -137,86 +31,21 @@ impl Registry {
     }
 
     /// Adds `delta` to the counter `name` at `scope`.
-    pub fn add(&mut self, name: &str, scope: Scope, delta: u64) {
-        if let Some(existing) = self.counters.get_mut(&(name.to_string(), scope)) {
-            *existing += delta;
-        } else {
-            self.counters.insert((name.to_string(), scope), delta);
-        }
+    pub fn add(&mut self, name: &'static str, scope: Scope, delta: u64) {
+        *self.counters.entry((name, scope)).or_insert(0) += delta;
     }
 
     /// Increments the counter `name` at `scope` by one.
-    pub fn inc(&mut self, name: &str, scope: Scope) {
+    pub fn inc(&mut self, name: &'static str, scope: Scope) {
         self.add(name, scope, 1);
     }
 
     /// Reads a counter (0 if never written).
     pub fn counter(&self, name: &str, scope: Scope) -> u64 {
-        self.counters
-            .get(&(name.to_string(), scope))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Records one histogram observation in microseconds.
-    pub fn observe_us(&mut self, name: &str, scope: Scope, value_us: u64) {
-        self.histograms
-            .entry((name.to_string(), scope))
-            .or_default()
-            .observe_us(value_us);
-    }
-
-    /// Reads a histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str, scope: Scope) -> Option<&FixedHistogram> {
-        self.histograms.get(&(name.to_string(), scope))
-    }
-
-    /// All scopes of a given counter name, in scope order.
-    pub fn scopes_of(&self, name: &str) -> Vec<Scope> {
-        self.counters
-            .keys()
-            .filter(|(n, _)| n == name)
-            .map(|&(_, scope)| scope)
-            .collect()
-    }
-
-    /// Number of distinct (name, scope) counter cells.
-    pub fn len(&self) -> usize {
-        self.counters.len() + self.histograms.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Renders the registry as a stable JSON object: counters and
-    /// histogram summaries keyed `"name@scope"`, in `BTreeMap` order.
-    pub fn to_json(&self) -> Value {
-        let counters: Vec<(String, Value)> = self
-            .counters
-            .iter()
-            .map(|((name, scope), value)| (format!("{name}@{scope}"), json!(value)))
-            .collect();
-        let histograms: Vec<(String, Value)> = self
-            .histograms
-            .iter()
-            .map(|((name, scope), hist)| {
-                (
-                    format!("{name}@{scope}"),
-                    json!({
-                        "count": hist.count(),
-                        "sum_us": hist.sum_us(),
-                        "p50_us": hist.quantile_us(0.50),
-                        "p95_us": hist.quantile_us(0.95),
-                    }),
-                )
-            })
-            .collect();
-        json!({
-            "counters": Value::Object(counters),
-            "histograms": Value::Object(histograms),
-        })
+        // The map is covariant in its key, so a borrowed name can look
+        // up a `&'static str` key without allocating.
+        let counters: &BTreeMap<(&str, Scope), u64> = &self.counters;
+        counters.get(&(name, scope)).copied().unwrap_or(0)
     }
 }
 
@@ -227,59 +56,14 @@ mod tests {
     #[test]
     fn counters_accumulate_per_scope() {
         let mut reg = Registry::new();
-        reg.inc("tasks_completed", Scope::Ego(0));
-        reg.inc("tasks_completed", Scope::Ego(0));
-        reg.inc("tasks_completed", Scope::Ego(1));
-        reg.add("bytes", Scope::Node(3), 120);
-        assert_eq!(reg.counter("tasks_completed", Scope::Ego(0)), 2);
-        assert_eq!(reg.counter("tasks_completed", Scope::Ego(1)), 1);
-        assert_eq!(reg.counter("tasks_completed", Scope::Ego(2)), 0);
-        assert_eq!(reg.counter("bytes", Scope::Node(3)), 120);
-        assert_eq!(
-            reg.scopes_of("tasks_completed"),
-            vec![Scope::Ego(0), Scope::Ego(1)]
-        );
-    }
-
-    #[test]
-    fn histogram_quantiles_are_bucket_bounds() {
-        let mut h = FixedHistogram::new();
-        for value in [150, 150, 150, 40_000] {
-            h.observe_us(value);
-        }
-        assert_eq!(h.count(), 4);
-        // Three of four observations land in the (100, 200] bucket.
-        assert_eq!(h.quantile_us(0.50), Some(200));
-        assert_eq!(h.quantile_us(0.95), Some(50_000));
-        assert_eq!(FixedHistogram::new().quantile_us(0.5), None);
-    }
-
-    #[test]
-    fn overflow_observations_clamp_to_last_bound() {
-        let mut h = FixedHistogram::new();
-        h.observe_us(90_000_000);
-        assert_eq!(h.quantile_us(1.0), Some(50_000_000));
-    }
-
-    #[test]
-    fn merge_is_count_preserving() {
-        let mut a = FixedHistogram::new();
-        let mut b = FixedHistogram::new();
-        a.observe_us(150);
-        b.observe_us(400);
-        b.observe_us(90_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum_us(), 150 + 400 + 90_000_000);
-    }
-
-    #[test]
-    fn json_render_is_stable_and_scoped() {
-        let mut reg = Registry::new();
-        reg.inc("joins", Scope::Global);
-        reg.observe_us("task_latency_us", Scope::Ego(0), 1_500);
-        let rendered = serde_json::to_string(&reg.to_json()).unwrap();
-        assert!(rendered.contains("\"joins@global\":1"));
-        assert!(rendered.contains("\"task_latency_us@ego#0\""));
+        reg.inc("frame_drops", Scope::Global);
+        reg.inc("frame_drops", Scope::Global);
+        reg.add("frame_drops_queue_cap", Scope::Global, 120);
+        assert_eq!(reg.counter("frame_drops", Scope::Global), 2);
+        assert_eq!(reg.counter("frame_drops_queue_cap", Scope::Global), 120);
+        assert_eq!(reg.counter("never_written", Scope::Global), 0);
+        // A name built at run time finds the static key.
+        let name = String::from("frame_drops");
+        assert_eq!(reg.counter(&name, Scope::Global), 2);
     }
 }

@@ -50,7 +50,7 @@ fn any_query(task: u64) -> impl Strategy<Value = GenQuery> {
 }
 
 /// Plays a batch of queries through the tracer in virtual-time order,
-/// returning the recorded spans and the book's samples.
+/// returning the recorded spans and the completed queries' budgets.
 fn play(queries: &[GenQuery], spans_on: bool) -> (SpanLog, Vec<StageBudget>) {
     let t = SimTime::from_millis;
     let mut log = if spans_on {
@@ -59,6 +59,7 @@ fn play(queries: &[GenQuery], spans_on: bool) -> (SpanLog, Vec<StageBudget>) {
         SpanLog::disabled()
     };
     let mut tracer = QueryTracer::new();
+    let mut samples = Vec::new();
     let mut horizon = 0u64;
     for q in queries {
         let mut now = q.submit_ms;
@@ -96,14 +97,13 @@ fn play(queries: &[GenQuery], spans_on: bool) -> (SpanLog, Vec<StageBudget>) {
             let budget = tracer
                 .complete(&mut log, q.task, t(now))
                 .unwrap_or_else(|| StageBudget::all_exec(q.task, 0));
-            tracer.push_sample(budget);
+            samples.push(budget);
         } else {
             tracer.fail(&mut log, q.task, t(now + 5));
         }
         horizon = horizon.max(now + 10);
     }
     tracer.finish(&mut log, t(horizon));
-    let samples = tracer.samples().to_vec();
     (log, samples)
 }
 

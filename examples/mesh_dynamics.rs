@@ -16,7 +16,7 @@ use airdnd::sim::{SimRng, SimTime};
 fn main() {
     let net = RoadNetwork::four_way_intersection(250.0, 13.9);
     let world = World::corner_buildings(12.0, 40.0);
-    let mut medium = RadioMedium::v2v(world, SimRng::seed_from(9));
+    let mut medium = RadioMedium::v2v(&world, SimRng::seed_from(9));
 
     // Six vehicles: ego from the south, the rest staggered on other arms.
     let mut rng = SimRng::seed_from(1);

@@ -47,7 +47,7 @@ impl Ord for WireMsgBox {
 
 impl Driver {
     fn new(count: usize, spacing: f64, seed: u64) -> Self {
-        let mut medium = RadioMedium::v2v(World::new(), SimRng::seed_from(seed));
+        let mut medium = RadioMedium::v2v(&World::new(), SimRng::seed_from(seed));
         let mut nodes = Vec::new();
         for i in 0..count {
             let addr = NodeAddr::new(i as u64 + 1);
