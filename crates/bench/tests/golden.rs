@@ -4,7 +4,9 @@
 //! diffed against regenerated output. Any accidental format drift in
 //! `harness::report` — field order, float formatting, CSV quoting, table
 //! alignment — fails loudly here instead of silently invalidating every
-//! downstream consumer of the artifacts.
+//! downstream consumer of the artifacts. The span logs of quick G1's and
+//! G3's first runs are pinned the same way, so the per-query span trees
+//! (ids, parents, causal links, times, statuses) cannot drift either.
 //!
 //! Deliberate format changes are blessed by re-recording:
 //!
@@ -14,6 +16,7 @@
 
 use airdnd_bench::workloads;
 use airdnd_harness::{render_csv, render_json};
+use airdnd_telemetry::{export, TelemetryOptions};
 use std::path::PathBuf;
 
 fn golden_path(file: &str) -> PathBuf {
@@ -54,6 +57,20 @@ fn check_workload(name: &str) {
     check(
         &format!("{name}.quick.table.txt"),
         &output.result.table.render(),
+    );
+}
+
+/// The span log of `name`'s first quick run, exported as `sweep
+/// --trace-out` writes it.
+fn check_spans(name: &str) {
+    let workload = workloads::find(name).expect("workload registered");
+    let opts = TelemetryOptions::events(TelemetryOptions::DEFAULT_EVENT_CAPACITY).with_spans();
+    let telemetry = workload
+        .observe_first_run(true, opts)
+        .expect("scenario workloads support telemetry");
+    check(
+        &format!("{name}.quick.spans.jsonl"),
+        &export::spans_to_jsonl(telemetry.spans.spans()),
     );
 }
 
@@ -119,4 +136,17 @@ fn g4_quick_artifacts_match_golden() {
 #[test]
 fn g5_quick_artifacts_match_golden() {
     check_workload("g5");
+}
+
+/// G1's span tree: offer flights, failovers and expired queries over
+/// generated worlds.
+#[test]
+fn g1_quick_spans_match_golden() {
+    check_spans("g1");
+}
+
+/// G3's span tree: queries whose helpers depart mid-flight.
+#[test]
+fn g3_quick_spans_match_golden() {
+    check_spans("g3");
 }
