@@ -30,7 +30,6 @@ fn bench_churn(c: &mut Criterion) {
                 &world,
                 n,
                 (1_000_000, 1_000_000),
-                120.0,
                 0.0,
                 orch,
                 mesh,
@@ -43,7 +42,6 @@ fn bench_churn(c: &mut Criterion) {
                     &world,
                     (arrivals % 4) as usize,
                     1_000_000,
-                    120.0,
                     orch,
                     mesh,
                     rng.fork(arrivals),

@@ -18,7 +18,7 @@ fn mesh_of(n: usize) -> MeshDescriptor {
             let mut catalog = DataCatalog::new(4);
             catalog.insert(
                 DataType::OccupancyGrid,
-                800,
+                Vec::new(),
                 QualityDescriptor::basic(now, 0.9, 1.0),
             );
             MemberDescriptor {

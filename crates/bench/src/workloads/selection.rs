@@ -79,7 +79,7 @@ fn synthetic_mesh(n: usize, seed: u64, now: SimTime) -> MeshDescriptor {
             let mut catalog = DataCatalog::new(4);
             catalog.insert(
                 DataType::OccupancyGrid,
-                800,
+                Vec::new(),
                 QualityDescriptor::basic(now, 0.9, 1.0),
             );
             MemberDescriptor {

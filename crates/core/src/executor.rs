@@ -263,15 +263,13 @@ impl ExecutorSim {
 /// it).
 pub fn gather_inputs(
     catalog: &DataCatalog,
-    store: &BTreeMap<u64, Vec<i64>>,
     queries: &[DataQuery],
     now: SimTime,
 ) -> Option<Vec<i64>> {
     let mut words = Vec::new();
     for query in queries {
         let (item, _) = airdnd_data::best_match(catalog, query, now)?;
-        let payload = store.get(&item.id.raw())?;
-        words.extend_from_slice(payload);
+        words.extend_from_slice(&item.payload);
     }
     Some(words)
 }
@@ -293,16 +291,14 @@ mod tests {
         )
     }
 
-    fn stocked_catalog(now: SimTime) -> (DataCatalog, BTreeMap<u64, Vec<i64>>) {
+    fn stocked_catalog(now: SimTime) -> DataCatalog {
         let mut catalog = DataCatalog::new(8);
-        let (id, _) = catalog.insert(
+        catalog.insert(
             DataType::OccupancyGrid,
-            32,
+            vec![1, 2, 3, 4],
             QualityDescriptor::basic(now, 0.9, 2.0),
         );
-        let mut store = BTreeMap::new();
-        store.insert(id.raw(), vec![1, 2, 3, 4]);
-        (catalog, store)
+        catalog
     }
 
     fn permissive_privacy() -> PrivacyPolicy<DataType> {
@@ -313,7 +309,7 @@ mod tests {
     fn admit_happy_path_gives_eta() {
         let exec = ExecutorSim::new(1_000_000, 1 << 30);
         let now = SimTime::from_secs(1);
-        let (catalog, _) = stocked_catalog(now);
+        let catalog = stocked_catalog(now);
         let task = task_with_gas(500_000).with_input(DataQuery::of_type(DataType::OccupancyGrid));
         let (eta, program) = exec
             .admit(
@@ -336,7 +332,7 @@ mod tests {
     #[test]
     fn admission_gates() {
         let now = SimTime::from_secs(1);
-        let (catalog, _) = stocked_catalog(now);
+        let catalog = stocked_catalog(now);
         let privacy = permissive_privacy();
         let base = task_with_gas(1000).with_input(DataQuery::of_type(DataType::OccupancyGrid));
 
@@ -393,7 +389,7 @@ mod tests {
     fn overload_gate_uses_backlog() {
         let mut exec = ExecutorSim::new(1_000_000, 1 << 30);
         let now = SimTime::from_secs(1);
-        let (catalog, _) = stocked_catalog(now);
+        let catalog = stocked_catalog(now);
         let task = task_with_gas(1000).with_input(DataQuery::of_type(DataType::OccupancyGrid));
         // 5 s of backlog vs 2 s deadline × factor 2 = 4 s bound → overload.
         exec.reserve(99, 5_000_000);
@@ -489,21 +485,20 @@ mod tests {
     #[test]
     fn gather_inputs_concatenates_in_query_order() {
         let now = SimTime::from_secs(1);
-        let (mut catalog, mut store) = stocked_catalog(now);
-        let (id2, _) = catalog.insert(
+        let mut catalog = stocked_catalog(now);
+        catalog.insert(
             DataType::TrackList,
-            16,
+            vec![9, 9],
             QualityDescriptor::basic(now, 0.9, 2.0),
         );
-        store.insert(id2.raw(), vec![9, 9]);
         let queries = [
             DataQuery::of_type(DataType::TrackList),
             DataQuery::of_type(DataType::OccupancyGrid),
         ];
-        let words = gather_inputs(&catalog, &store, &queries, now).unwrap();
+        let words = gather_inputs(&catalog, &queries, now).unwrap();
         assert_eq!(words, vec![9, 9, 1, 2, 3, 4]);
         // A query with no match yields None.
         let missing = [DataQuery::of_type(DataType::DetectionList)];
-        assert!(gather_inputs(&catalog, &store, &missing, now).is_none());
+        assert!(gather_inputs(&catalog, &missing, now).is_none());
     }
 }

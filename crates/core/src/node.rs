@@ -25,7 +25,6 @@ use airdnd_radio::NodeAddr;
 use airdnd_sim::{SimRng, SimTime};
 use airdnd_task::{TaskId, TaskSpec};
 use airdnd_trust::{PrivacyLevel, PrivacyPolicy, ReputationTable};
-use std::collections::BTreeMap;
 
 /// Everything that travels between nodes.
 #[derive(Clone, Debug, PartialEq)]
@@ -102,13 +101,10 @@ pub struct OrchestratorNode {
     executor: ExecutorSim,
     requester: RequesterBook,
     catalog: DataCatalog,
-    store: BTreeMap<u64, Vec<i64>>,
     trust: ReputationTable,
     privacy: PrivacyPolicy<DataType>,
     velocity: Vec2,
     rng: SimRng,
-    /// Output privacy level per in-flight local task.
-    task_levels: BTreeMap<TaskId, PrivacyLevel>,
     /// Beacon summary cached against [`DataCatalog::version`]: adverts
     /// refresh every tick, the catalog changes far less often.
     advert_summary: Option<(u64, CatalogSummary)>,
@@ -134,12 +130,10 @@ impl OrchestratorNode {
             executor,
             requester: RequesterBook::new(),
             catalog: DataCatalog::new(64),
-            store: BTreeMap::new(),
             trust: ReputationTable::default(),
             privacy: PrivacyPolicy::new(PrivacyLevel::Derived),
             velocity: Vec2::ZERO,
             rng,
-            task_levels: BTreeMap::new(),
             advert_summary: None,
         }
     }
@@ -181,21 +175,15 @@ impl OrchestratorNode {
         self.mesh.set_kinematics(pos, velocity);
     }
 
-    /// Adds locally produced data (Model 3): catalog entry + payload words.
+    /// Adds locally produced data (Model 3): a catalog item carrying its
+    /// payload words.
     pub fn insert_data(
         &mut self,
         data_type: DataType,
         payload: Vec<i64>,
         quality: QualityDescriptor,
     ) -> airdnd_data::DataItemId {
-        let size = payload.len() as u64 * 8;
-        let (id, evicted) = self.catalog.insert(data_type, size, quality);
-        self.store.insert(id.raw(), payload);
-        // Bound the store to the catalog: drop the evicted item's payload.
-        if let Some(evicted) = evicted {
-            self.store.remove(&evicted.raw());
-        }
-        id
+        self.catalog.insert(data_type, payload, quality)
     }
 
     /// The Model-1 snapshot this node would orchestrate over right now.
@@ -248,14 +236,9 @@ impl OrchestratorNode {
         for directive in directives {
             match directive {
                 RequesterDirective::SendOffer { to, task } => {
-                    let Some(spec) = self.requester.spec(task) else {
+                    let Some((spec, output_level)) = self.requester.offer(task) else {
                         continue;
                     };
-                    let output_level = self
-                        .task_levels
-                        .get(&task)
-                        .copied()
-                        .unwrap_or(PrivacyLevel::Derived);
                     out.push(NodeAction::Send {
                         to,
                         msg: WireMsg::Offload(OffloadMsg::Offer {
@@ -271,7 +254,6 @@ impl OrchestratorNode {
                     });
                 }
                 RequesterDirective::Finished { task, outcome } => {
-                    self.task_levels.remove(&task);
                     out.push(NodeAction::Outcome { task, outcome });
                 }
             }
@@ -296,14 +278,13 @@ impl OrchestratorNode {
             now,
         );
         let ranked: Vec<NodeAddr> = scores.iter().map(|s| s.addr).collect();
-        self.task_levels.insert(spec.id, output_level);
         // Spot-check escalation (RQ3): occasionally double up execution to
         // audit an executor even when redundancy is 1.
         let mut cfg = self.cfg;
         if cfg.spot_check_probability > 0.0 && self.rng.chance(cfg.spot_check_probability) {
             cfg.redundancy = cfg.redundancy.max(2);
         }
-        let directives = self.requester.submit(now, spec, ranked, &cfg);
+        let directives = self.requester.submit(now, spec, output_level, ranked, &cfg);
         let mut out = Vec::new();
         self.map_requester_directives(directives, &mut out);
         out
@@ -367,7 +348,7 @@ impl OrchestratorNode {
                     Ok((eta, program)) => {
                         let task_id = task.id;
                         self.executor.reserve(task_id.raw(), task.requirements.gas);
-                        let inputs = gather_inputs(&self.catalog, &self.store, &task.inputs, now);
+                        let inputs = gather_inputs(&self.catalog, &task.inputs, now);
                         let Some(inputs) = inputs else {
                             self.executor.cancel(task_id.raw());
                             out.push(NodeAction::Send {
@@ -774,22 +755,5 @@ mod tests {
             .is_some());
         assert!(beacon.advert.accepting);
         assert_eq!(beacon.advert.gas_rate, 1_000_000);
-    }
-
-    #[test]
-    fn payload_store_tracks_catalog_through_eviction() {
-        let mut n = node(1, 1_000_000);
-        for k in 0..3 * 64 {
-            n.insert_data(
-                DataType::OccupancyGrid,
-                vec![k as i64; 4],
-                grid_quality(SimTime::from_millis(k)),
-            );
-        }
-        let stored: Vec<u64> = n.store.keys().copied().collect();
-        let mut live: Vec<u64> = n.catalog.iter().map(|i| i.id.raw()).collect();
-        live.sort_unstable();
-        assert_eq!(live.len(), 64, "the catalog is full");
-        assert_eq!(stored, live, "exactly the evicted payloads are gone");
     }
 }

@@ -17,7 +17,7 @@ use crate::executor::DeclineReason;
 use airdnd_radio::NodeAddr;
 use airdnd_sim::SimTime;
 use airdnd_task::{TaskId, TaskSpec};
-use airdnd_trust::{digest_outputs, majority_vote, ReputationTable, Verdict};
+use airdnd_trust::{digest_outputs, majority_vote, PrivacyLevel, ReputationTable, Verdict};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -30,7 +30,7 @@ pub enum OffloadMsg {
         task: Box<TaskSpec>,
         /// Privacy level of the derived output (checked against the
         /// executor's policy).
-        output_level: airdnd_trust::PrivacyLevel,
+        output_level: PrivacyLevel,
     },
     /// "Accepted; expect the result around `eta`."
     Accept {
@@ -138,6 +138,8 @@ pub enum RequesterDirective {
 #[derive(Clone, Debug)]
 struct PendingTask {
     spec: TaskSpec,
+    /// Privacy level of the task's output, declared in every offer.
+    output_level: PrivacyLevel,
     submitted_at: SimTime,
     deadline_at: SimTime,
     /// Ranked candidates not yet offered.
@@ -173,12 +175,14 @@ impl RequesterBook {
         self.tasks.is_empty()
     }
 
-    /// The spec of an in-flight task (for re-offers).
-    pub fn spec(&self, task: TaskId) -> Option<&TaskSpec> {
-        self.tasks.get(&task).map(|t| &t.spec)
+    /// What an offer of an in-flight task carries: its spec and its
+    /// output privacy level.
+    pub fn offer(&self, task: TaskId) -> Option<(&TaskSpec, PrivacyLevel)> {
+        self.tasks.get(&task).map(|t| (&t.spec, t.output_level))
     }
 
-    /// Starts a task with an already-ranked candidate list.
+    /// Starts a task, whose output is of privacy level `output_level`,
+    /// with an already-ranked candidate list.
     ///
     /// `redundancy` executors are offered immediately; further candidates
     /// are tried on decline/timeout up to `cfg.max_candidates`.
@@ -186,6 +190,7 @@ impl RequesterBook {
         &mut self,
         now: SimTime,
         spec: TaskSpec,
+        output_level: PrivacyLevel,
         ranked: Vec<NodeAddr>,
         cfg: &OrchestratorConfig,
     ) -> Vec<RequesterDirective> {
@@ -202,6 +207,7 @@ impl RequesterBook {
         let needed = cfg.redundancy.max(1);
         let mut pending = PendingTask {
             spec,
+            output_level,
             submitted_at: now,
             deadline_at,
             queue: ranked,
@@ -508,7 +514,13 @@ mod tests {
     #[test]
     fn submit_offers_to_best_candidate() {
         let mut book = RequesterBook::new();
-        let d = book.submit(SimTime::ZERO, spec(1), addrs(&[5, 6, 7]), &cfg());
+        let d = book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5, 6, 7]),
+            &cfg(),
+        );
         assert_eq!(
             d,
             vec![RequesterDirective::SendOffer {
@@ -522,7 +534,13 @@ mod tests {
     #[test]
     fn no_candidates_fails_immediately() {
         let mut book = RequesterBook::new();
-        let d = book.submit(SimTime::ZERO, spec(1), vec![], &cfg());
+        let d = book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            vec![],
+            &cfg(),
+        );
         assert!(matches!(
             d.as_slice(),
             [RequesterDirective::Finished {
@@ -540,7 +558,13 @@ mod tests {
         let mut book = RequesterBook::new();
         let mut trust = ReputationTable::default();
         let c = cfg();
-        book.submit(SimTime::ZERO, spec(1), addrs(&[5]), &c);
+        book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5]),
+            &c,
+        );
         book.on_accept(
             SimTime::from_millis(50),
             NodeAddr::new(5),
@@ -581,7 +605,13 @@ mod tests {
     fn decline_moves_to_next_candidate() {
         let mut book = RequesterBook::new();
         let c = cfg();
-        book.submit(SimTime::ZERO, spec(1), addrs(&[5, 6]), &c);
+        book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5, 6]),
+            &c,
+        );
         let d = book.on_decline(
             SimTime::from_millis(10),
             NodeAddr::new(5),
@@ -618,7 +648,13 @@ mod tests {
         let mut book = RequesterBook::new();
         let mut trust = ReputationTable::default();
         let c = cfg();
-        book.submit(SimTime::ZERO, spec(1), addrs(&[5, 6]), &c);
+        book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5, 6]),
+            &c,
+        );
         // Past the 200 ms offer timeout.
         let d = book.on_tick(SimTime::from_millis(250), &c, &mut trust);
         assert_eq!(
@@ -635,7 +671,13 @@ mod tests {
         let mut book = RequesterBook::new();
         let mut trust = ReputationTable::default();
         let c = cfg();
-        book.submit(SimTime::ZERO, spec(1), addrs(&[5, 6]), &c);
+        book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5, 6]),
+            &c,
+        );
         book.on_accept(
             SimTime::from_millis(10),
             NodeAddr::new(5),
@@ -660,7 +702,13 @@ mod tests {
         let mut book = RequesterBook::new();
         let mut trust = ReputationTable::default();
         let c = cfg();
-        book.submit(SimTime::ZERO, spec(1), addrs(&[5]), &c);
+        book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5]),
+            &c,
+        );
         book.on_accept(
             SimTime::from_millis(10),
             NodeAddr::new(5),
@@ -693,7 +741,13 @@ mod tests {
             max_candidates: 5,
             ..cfg()
         };
-        let d = book.submit(SimTime::ZERO, spec(1), addrs(&[5, 6, 7, 8]), &c);
+        let d = book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5, 6, 7, 8]),
+            &c,
+        );
         assert_eq!(d.len(), 3, "three parallel offers");
         for n in [5, 6, 7] {
             book.on_accept(
@@ -757,7 +811,13 @@ mod tests {
             redundancy: 2,
             ..cfg()
         };
-        book.submit(SimTime::ZERO, spec(1), addrs(&[5, 6]), &c);
+        book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5, 6]),
+            &c,
+        );
         for n in [5, 6] {
             book.on_accept(
                 SimTime::from_millis(10),
@@ -819,7 +879,13 @@ mod tests {
         let mut book = RequesterBook::new();
         let mut trust = ReputationTable::default();
         let c = cfg();
-        book.submit(SimTime::ZERO, spec(1), addrs(&[5]), &c);
+        book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5]),
+            &c,
+        );
         let d = book.on_result(
             SimTime::from_millis(10),
             NodeAddr::new(6),
@@ -842,7 +908,13 @@ mod tests {
             redundancy: 2,
             ..cfg()
         };
-        book.submit(SimTime::ZERO, spec(1), addrs(&[5, 6]), &c);
+        book.submit(
+            SimTime::ZERO,
+            spec(1),
+            PrivacyLevel::Derived,
+            addrs(&[5, 6]),
+            &c,
+        );
         for n in [5, 6] {
             book.on_accept(
                 SimTime::from_millis(10),

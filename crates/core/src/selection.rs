@@ -181,7 +181,7 @@ mod tests {
         let mut cat = DataCatalog::new(4);
         cat.insert(
             DataType::OccupancyGrid,
-            32_000,
+            vec![],
             QualityDescriptor::basic(fresh_at, 0.9, 2.0),
         );
         cat.summarize()

@@ -8,7 +8,7 @@ use airdnd_core::{ExecutorSim, OrchestratorConfig};
 use airdnd_radio::NodeAddr;
 use airdnd_sim::{SimDuration, SimTime};
 use airdnd_task::{Program, ResourceRequirements, TaskId, TaskSpec};
-use airdnd_trust::ReputationTable;
+use airdnd_trust::{PrivacyLevel, ReputationTable};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -66,7 +66,13 @@ proptest! {
                 .filter(|d| matches!(d, RequesterDirective::Finished { .. }))
                 .count()
         };
-        let d = book.submit(SimTime::ZERO, spec(deadline_ms), candidates, &cfg);
+        let d = book.submit(
+            SimTime::ZERO,
+            spec(deadline_ms),
+            PrivacyLevel::Derived,
+            candidates,
+            &cfg,
+        );
         finished += count_finished(&d);
 
         let mut now_ms = 0u64;

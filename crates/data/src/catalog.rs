@@ -1,6 +1,7 @@
 //! Per-node data catalogs and the compact summaries beaconed to the mesh.
 //!
-//! Every node keeps a [`DataCatalog`] of the items it currently holds. The
+//! Every node keeps a [`DataCatalog`] of the items it currently holds,
+//! each with its payload words, which offloaded tasks read in place. The
 //! full catalog never leaves the node; a [`CatalogSummary`] — a few dozen
 //! bytes per data type — rides inside mesh beacons so remote orchestrators
 //! can shortlist candidate nodes before asking anything.
@@ -37,8 +38,8 @@ pub struct DataItem {
     pub id: DataItemId,
     /// What the data is.
     pub data_type: DataType,
-    /// Serialized size in bytes (what would travel if it were shipped).
-    pub size_bytes: u64,
+    /// The payload words an offloaded task reads as its input.
+    pub payload: Vec<i64>,
     /// Quality attributes.
     pub quality: QualityDescriptor,
 }
@@ -160,16 +161,14 @@ impl DataCatalog {
         self.items.is_empty()
     }
 
-    /// Adds an item, evicting the oldest if full. Returns the assigned id
-    /// and the id of the evicted item, if any, so a caller holding
-    /// per-item state can drop exactly that entry.
+    /// Adds an item with its payload, evicting the oldest item (and its
+    /// payload) if full. Returns the assigned id.
     pub fn insert(
         &mut self,
         data_type: DataType,
-        size_bytes: u64,
+        payload: Vec<i64>,
         quality: QualityDescriptor,
-    ) -> (DataItemId, Option<DataItemId>) {
-        let mut evicted = None;
+    ) -> DataItemId {
         if self.items.len() >= self.capacity {
             let oldest = self
                 .items
@@ -178,7 +177,7 @@ impl DataCatalog {
                 .min_by_key(|(_, item)| item.quality.produced_at)
                 .map(|(i, _)| i)
                 .expect("catalog is non-empty when full");
-            evicted = Some(self.items.swap_remove(oldest).id);
+            self.items.swap_remove(oldest);
         }
         let id = DataItemId(self.next_id);
         self.next_id += 1;
@@ -186,34 +185,10 @@ impl DataCatalog {
         self.items.push(DataItem {
             id,
             data_type,
-            size_bytes,
+            payload,
             quality,
         });
-        (id, evicted)
-    }
-
-    /// Looks up an item by id.
-    pub fn get(&self, id: DataItemId) -> Option<&DataItem> {
-        self.items.iter().find(|item| item.id == id)
-    }
-
-    /// Removes an item by id; returns it if present.
-    pub fn remove(&mut self, id: DataItemId) -> Option<DataItem> {
-        let idx = self.items.iter().position(|item| item.id == id)?;
-        self.version += 1;
-        Some(self.items.swap_remove(idx))
-    }
-
-    /// Drops every item older than `max_age` relative to `now`; returns how
-    /// many were dropped.
-    pub fn expire(&mut self, now: SimTime, max_age: airdnd_sim::SimDuration) -> usize {
-        let before = self.items.len();
-        self.items.retain(|item| item.quality.age(now) <= max_age);
-        let dropped = before - self.items.len();
-        if dropped > 0 {
-            self.version += 1;
-        }
-        dropped
+        id
     }
 
     /// All items satisfying `query` at `now`, best match-score first.
@@ -277,41 +252,67 @@ mod tests {
     }
 
     #[test]
-    fn insert_find_get_remove_round_trip() {
+    fn insert_find_round_trip() {
         let mut cat = DataCatalog::new(10);
-        let (id, _) = cat.insert(DataType::DetectionList, 2048, quality_at(5));
+        let id = cat.insert(DataType::DetectionList, vec![4, 2], quality_at(5));
         assert_eq!(cat.len(), 1);
-        assert_eq!(cat.get(id).unwrap().size_bytes, 2048);
         let hits = cat.find(
             &DataQuery::of_type(DataType::DetectionList),
             SimTime::from_secs(6),
         );
         assert_eq!(hits.len(), 1);
-        assert!(cat.remove(id).is_some());
-        assert!(cat.is_empty());
-        assert!(cat.remove(id).is_none());
+        assert_eq!(hits[0].id, id);
+        assert_eq!(hits[0].payload, vec![4, 2]);
     }
 
     #[test]
     fn capacity_evicts_oldest() {
         let mut cat = DataCatalog::new(3);
-        cat.insert(DataType::DetectionList, 1, quality_at(10));
-        cat.insert(DataType::DetectionList, 1, quality_at(5)); // oldest
-        cat.insert(DataType::DetectionList, 1, quality_at(20));
-        cat.insert(DataType::DetectionList, 1, quality_at(30)); // evicts t=5
+        cat.insert(DataType::DetectionList, vec![], quality_at(10));
+        cat.insert(DataType::DetectionList, vec![], quality_at(5)); // oldest
+        cat.insert(DataType::DetectionList, vec![], quality_at(20));
+        cat.insert(DataType::DetectionList, vec![], quality_at(30)); // evicts t=5
         assert_eq!(cat.len(), 3);
         let oldest = cat.iter().map(|i| i.quality.produced_at).min().unwrap();
         assert_eq!(oldest, SimTime::from_secs(10));
     }
 
+    /// A full catalog evicts its oldest item, payload and all: each insert
+    /// into it drops exactly the item produced first.
+    #[test]
+    fn eviction_drops_the_oldest_payload() {
+        let held = |cat: &DataCatalog| {
+            let mut items: Vec<(SimTime, Vec<i64>)> = cat
+                .iter()
+                .map(|i| (i.quality.produced_at, i.payload.clone()))
+                .collect();
+            items.sort_unstable();
+            items
+        };
+        let mut cat = DataCatalog::new(4);
+        for k in 0..12u64 {
+            // Out of production order, so the oldest item is not simply
+            // the first one inserted.
+            let at = (k * 5) % 12;
+            let mut expected = held(&cat);
+            if expected.len() == 4 {
+                expected.remove(0);
+            }
+            expected.push((SimTime::from_secs(at), vec![at as i64; 2]));
+            expected.sort_unstable();
+            cat.insert(DataType::OccupancyGrid, vec![at as i64; 2], quality_at(at));
+            assert_eq!(held(&cat), expected, "insert {k}");
+        }
+    }
+
     #[test]
     fn ids_stay_unique_across_eviction() {
         let mut cat = DataCatalog::new(2);
-        let (a, none) = cat.insert(DataType::TrackList, 1, quality_at(1));
-        let (b, _) = cat.insert(DataType::TrackList, 1, quality_at(2));
-        let (c, evicted) = cat.insert(DataType::TrackList, 1, quality_at(3));
-        assert_eq!(none, None);
-        assert_eq!(evicted, Some(a), "the oldest item is evicted and reported");
+        let a = cat.insert(DataType::TrackList, vec![], quality_at(1));
+        let b = cat.insert(DataType::TrackList, vec![], quality_at(2));
+        let c = cat.insert(DataType::TrackList, vec![], quality_at(3));
+        let held: Vec<DataItemId> = cat.iter().map(|i| i.id).collect();
+        assert!(!held.contains(&a), "the oldest item is evicted");
         assert_ne!(a, b);
         assert_ne!(b, c);
         assert_ne!(a, c);
@@ -321,22 +322,12 @@ mod tests {
     fn find_orders_by_score_and_filters_type() {
         let now = SimTime::from_secs(10);
         let mut cat = DataCatalog::new(10);
-        cat.insert(DataType::DetectionList, 1, quality_at(3)); // older
-        let (fresh_id, _) = cat.insert(DataType::DetectionList, 1, quality_at(9));
-        cat.insert(DataType::OccupancyGrid, 1, quality_at(9)); // other type
+        cat.insert(DataType::DetectionList, vec![], quality_at(3)); // older
+        let fresh_id = cat.insert(DataType::DetectionList, vec![], quality_at(9));
+        cat.insert(DataType::OccupancyGrid, vec![], quality_at(9)); // other type
         let hits = cat.find(&DataQuery::of_type(DataType::DetectionList), now);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].id, fresh_id, "freshest first");
-    }
-
-    #[test]
-    fn expire_drops_stale_items() {
-        let mut cat = DataCatalog::new(10);
-        cat.insert(DataType::DetectionList, 1, quality_at(1));
-        cat.insert(DataType::DetectionList, 1, quality_at(8));
-        let dropped = cat.expire(SimTime::from_secs(10), SimDuration::from_secs(5));
-        assert_eq!(dropped, 1);
-        assert_eq!(cat.len(), 1);
     }
 
     #[test]
@@ -344,11 +335,11 @@ mod tests {
         let mut cat = DataCatalog::new(10);
         let mut q = quality_at(4);
         q.coverage = Some(Aabb::from_center_size(Vec2::ZERO, 50.0, 50.0));
-        cat.insert(DataType::OccupancyGrid, 1, q);
+        cat.insert(DataType::OccupancyGrid, vec![], q);
         let mut q2 = quality_at(7);
         q2.confidence = 0.99;
         q2.coverage = Some(Aabb::from_center_size(Vec2::new(100.0, 0.0), 50.0, 50.0));
-        cat.insert(DataType::OccupancyGrid, 1, q2);
+        cat.insert(DataType::OccupancyGrid, vec![], q2);
         let s = cat.summarize();
         let d = s.digest(DataType::OccupancyGrid).unwrap();
         assert_eq!(d.count, 2);
@@ -363,7 +354,7 @@ mod tests {
     fn may_satisfy_respects_hard_attributes() {
         let now = SimTime::from_secs(20);
         let mut cat = DataCatalog::new(10);
-        cat.insert(DataType::DetectionList, 1, quality_at(19));
+        cat.insert(DataType::DetectionList, vec![], quality_at(19));
         let s = cat.summarize();
         assert!(s.may_satisfy(&DataQuery::of_type(DataType::DetectionList), now));
         assert!(!s.may_satisfy(&DataQuery::of_type(DataType::TrackList), now));
@@ -391,7 +382,7 @@ mod tests {
         let mut cat = DataCatalog::new(10);
         let mut q = quality_at(4);
         q.coverage = Some(Aabb::from_center_size(Vec2::ZERO, 50.0, 50.0));
-        cat.insert(DataType::OccupancyGrid, 1, q);
+        cat.insert(DataType::OccupancyGrid, vec![], q);
         let s = cat.summarize();
         let mut query = DataQuery::of_type(DataType::OccupancyGrid);
         query.requirement.required_region =
@@ -406,8 +397,8 @@ mod tests {
     fn wire_size_tracks_type_count() {
         let mut cat = DataCatalog::new(10);
         let empty = cat.summarize().wire_size_bytes();
-        cat.insert(DataType::DetectionList, 1, quality_at(0));
-        cat.insert(DataType::OccupancyGrid, 1, quality_at(0));
+        cat.insert(DataType::DetectionList, vec![], quality_at(0));
+        cat.insert(DataType::OccupancyGrid, vec![], quality_at(0));
         let two = cat.summarize().wire_size_bytes();
         assert!(two > empty);
         assert!(two < 1_000, "summaries must stay beacon-sized");

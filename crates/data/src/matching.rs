@@ -61,7 +61,7 @@ mod tests {
         for &t in ages {
             cat.insert(
                 DataType::DetectionList,
-                1_000,
+                vec![],
                 QualityDescriptor::basic(SimTime::from_secs(t), 0.9, 2.0),
             );
         }
@@ -123,8 +123,8 @@ mod tests {
         // Two identical items: the earlier id must win, repeatably.
         let mut cat = DataCatalog::new(4);
         let q = QualityDescriptor::basic(SimTime::from_secs(1), 0.9, 2.0);
-        let (first, _) = cat.insert(DataType::DetectionList, 10, q);
-        cat.insert(DataType::DetectionList, 10, q);
+        let first = cat.insert(DataType::DetectionList, vec![], q);
+        cat.insert(DataType::DetectionList, vec![], q);
         let now = SimTime::from_secs(2);
         let (item, _) =
             best_match(&cat, &DataQuery::of_type(DataType::DetectionList), now).unwrap();

@@ -1,6 +1,7 @@
 //! Per-cell statistics across seed replicates.
 
 use crate::manifest::Manifest;
+use airdnd_sim::stats::percentile_of_sorted;
 use serde::Serialize;
 
 /// Two-sided 95 % Student-t critical values for small samples, indexed by
@@ -63,8 +64,8 @@ impl Aggregate {
             n,
             mean,
             stddev,
-            p50: interpolated_percentile(&sorted, 0.50),
-            p95: interpolated_percentile(&sorted, 0.95),
+            p50: percentile_of_sorted(&sorted, 0.50),
+            p95: percentile_of_sorted(&sorted, 0.95),
             ci95,
         }
     }
@@ -74,26 +75,6 @@ impl Aggregate {
     pub fn of<R>(results: &[R], metric: impl Fn(&R) -> f64) -> Aggregate {
         let samples: Vec<f64> = results.iter().map(metric).collect();
         Aggregate::from_samples(&samples)
-    }
-}
-
-/// Percentile by linear interpolation over a pre-sorted sample.
-///
-/// Intentionally mirrors `airdnd_sim::stats` rather than depending on it:
-/// the harness stays generic over any workspace (its only dependencies are
-/// the serialization stand-ins), so the simulation substrate must not leak
-/// in here. Keep the two in sync if the interpolation policy ever changes.
-fn interpolated_percentile(sorted: &[f64], q: f64) -> f64 {
-    match sorted.len() {
-        0 => 0.0,
-        1 => sorted[0],
-        n => {
-            let rank = q.clamp(0.0, 1.0) * (n - 1) as f64;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            let frac = rank - lo as f64;
-            sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-        }
     }
 }
 

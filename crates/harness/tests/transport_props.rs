@@ -7,8 +7,8 @@
 //! schedule — is deterministic under a fixed seed.
 
 use airdnd_harness::{
-    backoff_rounds, derive_seed, drive_with, CommandSpec, DriveOptions, DriveTuning, LoopbackPipe,
-    SimFaults, SimHostTransport, SimJob, SshTransport, Transport, Validation,
+    backoff_rounds, derive_seed, drive_with, CommandSpec, DriveOptions, DriveTuning, SimFaults,
+    SimHostTransport, SimJob, Validation,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -190,64 +190,4 @@ proptest! {
             prop_assert!(a <= tuning.backoff_cap, "backoff {} over cap", a);
         }
     }
-}
-
-/// The SSH stub's wire protocol loses nothing: a faulted drive through
-/// `SshTransport<LoopbackPipe<SimHostTransport>>` leaves a byte-identical
-/// state file, artifact set, and fetch log to the same drive run against
-/// the sim directly.
-#[test]
-fn ssh_loopback_drive_matches_direct_sim_drive() {
-    let shards = 5usize;
-    let hosts = 3usize;
-    let faults = SimFaults {
-        lost_hosts: vec![1],
-        partitions: vec![(0, 2)],
-        ..SimFaults::default()
-    };
-
-    let dir_direct = temp_dir("ssh-direct");
-    let (state_direct, fetched_direct) = run_drive(&dir_direct, shards, hosts, &faults);
-
-    let dir_wire = temp_dir("ssh-wire");
-    let out = dir_wire.join("out");
-    std::fs::create_dir_all(&out).expect("can create out dir");
-    let sim = SimHostTransport::new(
-        hosts,
-        shards,
-        out.clone(),
-        dir_wire.join("staging"),
-        faults,
-        stub_runner,
-    );
-    let mut ssh = SshTransport::new(LoopbackPipe::new(sim));
-    assert_eq!(ssh.host_count(), hosts, "host count survives the wire");
-    drive_with(
-        &mut ssh,
-        &drive_opts(&dir_wire, shards),
-        |ctx| CommandSpec::new("sim-stub").arg(format!("--shard={}", ctx.shard)),
-        validator(&out),
-        |_| {},
-    )
-    .expect("the wire drive completes");
-    let state_wire =
-        std::fs::read_to_string(dir_wire.join("drive-state.json")).expect("state exists");
-    assert_eq!(state_direct, state_wire, "wire drive state matches direct");
-
-    for shard_index in 0..shards {
-        let name = artifact_name(shard_index, shards);
-        let direct = std::fs::read(dir_direct.join("out").join(&name)).expect("direct artifact");
-        let wire = std::fs::read(out.join(&name)).expect("wire artifact");
-        assert_eq!(direct, wire, "artifact {name} must match across transports");
-    }
-    // Recover the sim behind the pipe: the fetch evidence must match too.
-    let sim = ssh.into_pipe().into_inner();
-    let fetched_wire: Vec<usize> = sim.fetch_log().iter().map(|f| f.shard_index).collect();
-    assert_eq!(
-        fetched_direct, fetched_wire,
-        "fetch log matches across transports"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir_direct);
-    let _ = std::fs::remove_dir_all(&dir_wire);
 }

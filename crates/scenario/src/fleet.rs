@@ -15,8 +15,6 @@ pub struct Vehicle {
     pub node: OrchestratorNode,
     /// Kinematics.
     pub mobility: Mobility,
-    /// Sensor range, metres.
-    pub sensor_range: f64,
     rng: SimRng,
     current_exit: usize,
     /// When set, every respawn re-enters from this arm (the ego keeps
@@ -73,7 +71,6 @@ impl Vehicle {
         addr: NodeAddr,
         arm: usize,
         gas_rate: u64,
-        sensor_range: f64,
         orch: OrchestratorConfig,
         mesh: MeshConfig,
         arrival_window_s: f64,
@@ -88,7 +85,6 @@ impl Vehicle {
         Vehicle {
             node,
             mobility,
-            sensor_range,
             rng,
             current_exit: exit,
             fixed_arm: None,
@@ -102,7 +98,6 @@ impl Vehicle {
         pos: Vec2,
         addr: NodeAddr,
         gas_rate: u64,
-        sensor_range: f64,
         orch: OrchestratorConfig,
         mesh: MeshConfig,
         rng: SimRng,
@@ -112,7 +107,6 @@ impl Vehicle {
         Vehicle {
             node,
             mobility: Mobility::fixed(pos),
-            sensor_range,
             rng,
             current_exit: 0,
             fixed_arm: None,
@@ -207,7 +201,6 @@ impl Fleet {
         world: &ScenarioWorld,
         count: usize,
         gas_rate_range: (u64, u64),
-        sensor_range: f64,
         byzantine_fraction: f64,
         orch: OrchestratorConfig,
         mesh: MeshConfig,
@@ -236,7 +229,6 @@ impl Fleet {
                 addr,
                 arm,
                 gas_rate,
-                sensor_range,
                 orch,
                 mesh,
                 layout.arrival_window_s,
@@ -256,7 +248,6 @@ impl Fleet {
                 pos,
                 addr,
                 gas_rate,
-                sensor_range,
                 orch,
                 mesh,
                 rng.fork(2000 + k as u64),
@@ -282,13 +273,11 @@ impl Fleet {
 
     /// Admits a new mobile vehicle entering from `arm` mid-run, assigning
     /// it the next unused address. Returns the new vehicle's address.
-    #[allow(clippy::too_many_arguments)] // one knob per ScenarioConfig field
     pub fn push_mobile(
         &mut self,
         world: &ScenarioWorld,
         arm: usize,
         gas_rate: u64,
-        sensor_range: f64,
         orch: OrchestratorConfig,
         mesh: MeshConfig,
         rng: SimRng,
@@ -296,17 +285,7 @@ impl Fleet {
         let addr = NodeAddr::new(self.next_addr);
         self.next_addr += 1;
         // Zero arrival window: a mid-run spawn enters at the portal now.
-        let vehicle = Vehicle::spawn(
-            world,
-            addr,
-            arm,
-            gas_rate,
-            sensor_range,
-            orch,
-            mesh,
-            0.0,
-            rng,
-        );
+        let vehicle = Vehicle::spawn(world, addr, arm, gas_rate, orch, mesh, 0.0, rng);
         self.index.set(addr.raw(), self.slots.len());
         self.slots.push(Some(vehicle));
         self.live += 1;
@@ -431,7 +410,6 @@ mod tests {
             &world,
             10,
             (500_000, 2_000_000),
-            120.0,
             0.0,
             OrchestratorConfig::default(),
             MeshConfig::default(),
@@ -456,7 +434,6 @@ mod tests {
             &world,
             3,
             (1_000_000, 1_000_000),
-            120.0,
             0.0,
             OrchestratorConfig::default(),
             MeshConfig::default(),
@@ -485,7 +462,6 @@ mod tests {
             &world,
             20,
             (1_000_000, 1_000_000),
-            120.0,
             1.0, // every helper byzantine
             OrchestratorConfig::default(),
             MeshConfig::default(),
@@ -516,7 +492,6 @@ mod tests {
             &world,
             4,
             (1_000_000, 1_000_000),
-            120.0,
             0.0,
             OrchestratorConfig::default(),
             MeshConfig::default(),
@@ -555,7 +530,6 @@ mod tests {
                 &world,
                 6,
                 (500_000, 2_000_000),
-                120.0,
                 0.0,
                 OrchestratorConfig::default(),
                 MeshConfig::default(),
@@ -586,7 +560,6 @@ mod tests {
             &world,
             4,
             (1_000_000, 1_000_000),
-            120.0,
             0.0,
             OrchestratorConfig::default(),
             MeshConfig::default(),
@@ -597,7 +570,6 @@ mod tests {
             &world,
             1,
             1_000_000,
-            120.0,
             OrchestratorConfig::default(),
             MeshConfig::default(),
             rng.fork(1),
@@ -620,7 +592,6 @@ mod tests {
             &world,
             0,
             1_000_000,
-            120.0,
             OrchestratorConfig::default(),
             MeshConfig::default(),
             rng.fork(2),
@@ -641,7 +612,6 @@ mod tests {
             &world,
             6,
             (1_000_000, 1_000_000),
-            120.0,
             0.0,
             OrchestratorConfig::default(),
             MeshConfig::default(),
@@ -659,7 +629,6 @@ mod tests {
                     &world,
                     (round % 4) as usize,
                     1_000_000,
-                    120.0,
                     OrchestratorConfig::default(),
                     MeshConfig::default(),
                     rng.fork(round),
@@ -705,7 +674,6 @@ mod tests {
             &world,
             3,
             (1_000_000, 1_000_000),
-            120.0,
             0.0,
             OrchestratorConfig::default(),
             MeshConfig::default(),
@@ -729,7 +697,6 @@ mod tests {
                 &world,
                 5,
                 (500_000, 2_000_000),
-                120.0,
                 0.0,
                 OrchestratorConfig::default(),
                 MeshConfig::default(),

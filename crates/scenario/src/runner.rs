@@ -36,7 +36,7 @@ use airdnd_radio::{DeliveryOutcome, NodeAddr, RadioMedium};
 use airdnd_sim::{percentile, SimDuration, SimRng, SimTime};
 use airdnd_task::{library, Program, ResourceRequirements, TaskId, TaskSpec};
 use airdnd_telemetry::{
-    DropReason, EventKind, Phase, QueryTracer, RunTelemetry, Scope, StageBudget, TelemetryOptions,
+    DropReason, EventKind, Phase, RunTelemetry, Scope, StageBudget, TelemetryOptions,
 };
 use airdnd_trust::PrivacyLevel;
 use rand::Rng;
@@ -373,9 +373,10 @@ pub struct ScenarioReport {
     /// Median submit→first-offer time across completed queries, ms — the
     /// discovery stage of the critical path. Strategies that never use
     /// the offload protocol book their whole latency under `exec`. All
-    /// ten stage columns fold the stage budgets that the always-on
-    /// [`QueryTracer`] hands the outcome ledger, so they are identical
-    /// whether span recording is on or off.
+    /// ten stage columns fold the stage budgets of the outcome ledger,
+    /// which each offloaded query's always-on
+    /// [`QueryPath`](airdnd_telemetry::QueryPath) computes, so they are
+    /// identical whether span recording is on or off.
     pub lat_discover_p50_ms: f64,
     /// 95th-percentile discovery time, ms.
     pub lat_discover_p95_ms: f64,
@@ -434,8 +435,6 @@ struct EgoState {
     grid: HiddenGrid,
     local: LocalOnly,
     task_gas_budget: u64,
-    /// Queries this ego has opened: the 1-based `DemandFire` ordinal.
-    queries: u64,
 }
 
 impl EgoState {
@@ -445,7 +444,6 @@ impl EgoState {
             grid,
             local,
             task_gas_budget,
-            queries: 0,
         }
     }
 }
@@ -473,7 +471,10 @@ struct WorldState {
     despawns: u64,
     tick_count: u64,
     /// One record per submitted query, indexed by task id: every query
-    /// figure of the report folds it.
+    /// figure of the report folds it. An offloaded query's record also
+    /// keeps its critical path while it is in flight: deterministic
+    /// integer bookkeeping that feeds the stage columns, plus the query's
+    /// span tree when spans are enabled.
     ledger: Ledger,
     member_samples: Vec<f64>,
     mesh_formation: Option<SimTime>,
@@ -485,12 +486,6 @@ struct WorldState {
     /// simulation state, RNG streams or scheduling — telemetry on vs off
     /// is byte-identical in the report.
     telemetry: RunTelemetry,
-    /// Always-on critical-path tracker for in-flight queries (and, when
-    /// spans are enabled, the per-query span-tree recorder). It hands
-    /// each completed query's stage budget to the ledger; deterministic
-    /// integer bookkeeping only, so the stage columns are part of the
-    /// report whether span recording is on or off.
-    tracer: QueryTracer,
 }
 
 impl WorldState {
@@ -536,16 +531,15 @@ impl WorldState {
         }
         let actor = self.egos[ego].addr.raw() as u32;
         let latency_us = now.saturating_since(submitted).as_nanos() / 1_000;
-        // Close the query's span tree and take its critical-path stage
-        // budget. Tasks the tracer never saw submitted (cloud / raw /
-        // local strategies) attribute their whole latency to execution.
-        let budget = self
-            .tracer
-            .complete(&mut self.telemetry.spans, task, now)
-            .unwrap_or_else(|| StageBudget::all_exec(task, latency_us));
         let coverage = observed_fraction(&fused);
-        self.ledger
-            .complete(task, now, coverage, ego_only, valid, budget);
+        self.ledger.complete(
+            &mut self.telemetry.spans,
+            task,
+            now,
+            coverage,
+            ego_only,
+            valid,
+        );
         self.telemetry.event(
             now,
             actor,
@@ -590,8 +584,7 @@ impl WorldState {
     /// (when enabled) the typed event, in one place so every failure path
     /// stays consistent.
     fn record_failure(&mut self, now: SimTime, task: u64) {
-        self.tracer.fail(&mut self.telemetry.spans, task, now);
-        self.ledger.fail(task);
+        self.ledger.fail(&mut self.telemetry.spans, task, now);
         let ego = self.ledger.get(task).ego;
         let actor = self.egos[ego].addr.raw() as u32;
         self.telemetry.event(
@@ -610,21 +603,23 @@ impl WorldState {
         self.egos[ego].task_gas_budget
     }
 
-    /// Opens ego `ego`'s next query: its ledger record, the demand-fire
-    /// and submit events, and the task id every strategy arm uses.
+    /// Opens ego `ego`'s next query: its ledger record (with its critical
+    /// path, under AirDnD), the demand-fire and submit events, and the
+    /// task id every strategy arm uses.
     fn open_query(&mut self, now: SimTime, ego: usize) -> u64 {
-        let state = &mut self.egos[ego];
-        state.queries += 1;
-        let (ordinal, actor) = (state.queries, state.addr.raw() as u32);
+        let actor = self.egos[ego].addr.raw() as u32;
+        let offload_actor = (self.cfg.strategy == Strategy::Airdnd).then_some(actor);
+        let task = self
+            .ledger
+            .open(&mut self.telemetry.spans, ego, offload_actor, now);
         self.telemetry.event(
             now,
             ego as u32,
             EventKind::DemandFire {
                 ego: ego as u32,
-                task: ordinal,
+                task,
             },
         );
-        let task = self.ledger.open(ego, now);
         self.telemetry.event(
             now,
             actor,
@@ -714,57 +709,13 @@ impl WorldState {
                         );
                     }
                 }
-                NodeAction::Send { to, msg } => {
-                    let size = msg.wire_size_bytes();
-                    let (outcome, _) = self.medium.unicast(now, src, to, size);
-                    if let WireMsg::Offload(OffloadMsg::Offer { task, .. }) = &msg {
-                        self.ledger.count_offer(task.id.raw());
-                        self.tracer.offer_sent(
-                            &mut self.telemetry.spans,
-                            task.id.raw(),
-                            to.raw() as u32,
-                            now,
-                            outcome.delivered_at(),
-                        );
-                        self.telemetry.event(
-                            now,
-                            src.raw() as u32,
-                            EventKind::TaskOffload {
-                                task: task.id.raw(),
-                                executor: to.raw() as u32,
-                            },
-                        );
-                    }
-                    self.telemetry.event(
-                        now,
-                        src.raw() as u32,
-                        EventKind::FrameTx {
-                            from: src.raw() as u32,
-                            to: Some(to.raw() as u32),
-                            bytes: size,
-                        },
-                    );
-                    if !matches!(outcome, DeliveryOutcome::Delivered { .. }) {
-                        self.record_frame_drop(now, src, Some(to), size, drop_reason(&outcome));
-                    }
-                    if let DeliveryOutcome::Delivered { at, .. } = outcome {
-                        tl.schedule_at(
-                            now + at.saturating_since(now),
-                            ScenMsg::Deliver {
-                                from: src,
-                                to,
-                                msg: Rc::new(msg),
-                            },
-                        );
-                    }
-                }
+                NodeAction::Send { to, msg } => self.unicast(tl, now, src, to, Rc::new(msg)),
                 NodeAction::SendAt { to, at, msg } => {
                     // A deferred Result frame is the helper finishing the
                     // offloaded kernel: execution started when the offer
                     // arrived (now) and the result is ready at `at`.
                     if let WireMsg::Offload(OffloadMsg::Result { task, .. }) = &msg {
-                        self.ledger.count_result(task.raw());
-                        self.tracer.result_ready(
+                        self.ledger.result_ready(
                             &mut self.telemetry.spans,
                             task.raw(),
                             src.raw() as u32,
@@ -814,6 +765,58 @@ impl WorldState {
         }
     }
 
+    /// Transmits `msg` from `src` to `to` now: the medium's verdict, the
+    /// query's books for an offer or a result frame, the frame's events
+    /// and, if it arrives, its delivery. Nodes unicast offers at once and
+    /// defer only results (see `NodeAction::SendAt`).
+    fn unicast(
+        &mut self,
+        tl: &mut Timeline<ScenMsg>,
+        now: SimTime,
+        src: NodeAddr,
+        to: NodeAddr,
+        msg: Rc<WireMsg>,
+    ) {
+        let size = msg.wire_size_bytes();
+        let (outcome, _) = self.medium.unicast(now, src, to, size);
+        let delivered = outcome.delivered_at();
+        let spans = &mut self.telemetry.spans;
+        match &*msg {
+            WireMsg::Offload(OffloadMsg::Offer { task, .. }) => {
+                let task = task.id.raw();
+                let executor = to.raw() as u32;
+                self.ledger
+                    .offer_sent(spans, task, executor, now, delivered);
+                self.telemetry.event(
+                    now,
+                    src.raw() as u32,
+                    EventKind::TaskOffload { task, executor },
+                );
+            }
+            WireMsg::Offload(OffloadMsg::Result { task, .. }) => {
+                self.ledger
+                    .result_sent(spans, task.raw(), src.raw() as u32, now, delivered);
+            }
+            _ => {}
+        }
+        self.telemetry.event(
+            now,
+            src.raw() as u32,
+            EventKind::FrameTx {
+                from: src.raw() as u32,
+                to: Some(to.raw() as u32),
+                bytes: size,
+            },
+        );
+        match outcome {
+            DeliveryOutcome::Delivered { at, .. } => tl.schedule_at(
+                now + at.saturating_since(now),
+                ScenMsg::Deliver { from: src, to, msg },
+            ),
+            _ => self.record_frame_drop(now, src, Some(to), size, drop_reason(&outcome)),
+        }
+    }
+
     /// Applies every fleet event due at this tick boundary: spawns join
     /// the mesh population, despawns leave it (gracefully or abruptly).
     fn apply_lifecycle(&mut self, tl: &mut Timeline<ScenMsg>, now: SimTime) {
@@ -841,16 +844,14 @@ impl WorldState {
                     // Fork tag = how many spawns have been applied,
                     // so each arrival gets its own stream.
                     let rng = self.lifecycle_rng.fork(self.spawns);
-                    let (sensor_range, orch, mesh) =
-                        (self.cfg.sensor_range, self.cfg.orch, self.cfg.mesh);
+                    let (orch, mesh) = (self.cfg.orch, self.cfg.mesh);
                     let WorldState {
                         fleet,
                         stage,
                         medium,
                         ..
                     } = self;
-                    let addr =
-                        fleet.push_mobile(stage, arm, gas_rate, sensor_range, orch, mesh, rng);
+                    let addr = fleet.push_mobile(stage, arm, gas_rate, orch, mesh, rng);
                     let slot = fleet.index_of(addr).expect("just pushed");
                     let vehicle = fleet.get_mut(slot).expect("just pushed");
                     if byzantine {
@@ -1017,8 +1018,6 @@ impl WorldState {
             Strategy::Airdnd => {
                 let spec = self.perception_task(ego, task);
                 let addr = self.egos[ego].addr;
-                self.tracer
-                    .submit(&mut self.telemetry.spans, task, addr.raw() as u32, now);
                 let idx = self.fleet.index_of(addr).expect("ego vehicles persist");
                 let actions = self
                     .fleet
@@ -1172,38 +1171,7 @@ impl WorldState {
                 }
                 self.profile(started, phase);
             }
-            ScenMsg::TransmitAt { src, to, msg } => {
-                let size = msg.wire_size_bytes();
-                let outcome = self.medium.unicast(now, src, to, size).0;
-                // Nodes defer only results (see `NodeAction::SendAt`).
-                if let WireMsg::Offload(OffloadMsg::Result { task, .. }) = &*msg {
-                    self.tracer.result_sent(
-                        &mut self.telemetry.spans,
-                        task.raw(),
-                        src.raw() as u32,
-                        now,
-                        outcome.delivered_at(),
-                    );
-                }
-                self.telemetry.event(
-                    now,
-                    src.raw() as u32,
-                    EventKind::FrameTx {
-                        from: src.raw() as u32,
-                        to: Some(to.raw() as u32),
-                        bytes: size,
-                    },
-                );
-                if !matches!(outcome, DeliveryOutcome::Delivered { .. }) {
-                    self.record_frame_drop(now, src, Some(to), size, drop_reason(&outcome));
-                }
-                if let DeliveryOutcome::Delivered { at, .. } = outcome {
-                    tl.schedule_at(
-                        now + at.saturating_since(now),
-                        ScenMsg::Deliver { from: src, to, msg },
-                    );
-                }
-            }
+            ScenMsg::TransmitAt { src, to, msg } => self.unicast(tl, now, src, to, msg),
             ScenMsg::View { task, grid } => self.record_view(now, task, &grid),
         }
     }
@@ -1262,7 +1230,6 @@ fn simulate(mut world: WorldInstance, cfg: ScenarioConfig, opts: TelemetryOption
         &stage,
         cfg.vehicles,
         cfg.gas_rate_range,
-        cfg.sensor_range,
         cfg.byzantine_fraction,
         cfg.orch,
         cfg.mesh,
@@ -1355,7 +1322,6 @@ fn simulate(mut world: WorldInstance, cfg: ScenarioConfig, opts: TelemetryOption
         joins: 0,
         leaves: 0,
         telemetry: RunTelemetry::with(opts),
-        tracer: QueryTracer::new(),
     };
 
     // The event loop proper: pop-in-(time, seq)-order until the horizon —
@@ -1368,7 +1334,7 @@ fn simulate(mut world: WorldInstance, cfg: ScenarioConfig, opts: TelemetryOption
     }
     // Queries still in flight at the horizon expire their spans there so
     // the recorded tree is well-formed (every span closed or expired).
-    state.tracer.finish(&mut state.telemetry.spans, horizon);
+    state.ledger.close(&mut state.telemetry.spans, horizon);
     state
 }
 
@@ -1542,7 +1508,8 @@ mod tests {
 
     /// Every query ends exactly once: per ego, completed + failed + in
     /// flight = submitted, and the typed task events (an independent
-    /// record) agree with the ledger. Over a churned run, whose departing
+    /// record) agree with the ledger; each demand fire names the task id
+    /// its query was submitted under. Over a churned run, whose departing
     /// helpers hold in-flight work, and a three-ego run.
     #[test]
     fn every_query_ends_exactly_once() {
@@ -1587,13 +1554,17 @@ mod tests {
             let state = simulate(world, cfg, TelemetryOptions::events(1 << 16));
             let tallies = state.ledger.tallies(state.egos.len());
             assert_eq!(tallies.len(), egos);
-            let events = |ego: usize, kind: fn(&EventKind) -> Option<u32>| {
+            // Each ego's task ids in one event kind, in log order.
+            let tasks = |ego: usize, kind: fn(&EventKind) -> Option<(u32, u64)>| {
                 state
                     .telemetry
                     .events
-                    .query()
-                    .matching(|r| kind(&r.event.kind) == Some(ego as u32))
-                    .count() as u64
+                    .events()
+                    .iter()
+                    .filter_map(|r| kind(&r.event.kind))
+                    .filter(|&(by, _)| by == ego as u32)
+                    .map(|(_, task)| task)
+                    .collect::<Vec<u64>>()
             };
             for (ego, tally) in tallies.iter().enumerate() {
                 assert!(tally.submitted > 10, "ego {ego}: {tally:?}");
@@ -1602,22 +1573,26 @@ mod tests {
                     tally.submitted,
                     "ego {ego}"
                 );
-                assert_eq!(tally.submitted, state.egos[ego].queries, "ego {ego}");
-                let submits = events(ego, |k| match k {
-                    EventKind::TaskSubmit { ego, .. } => Some(*ego),
+                let fires = tasks(ego, |k| match k {
+                    EventKind::DemandFire { ego, task } => Some((*ego, *task)),
                     _ => None,
                 });
-                let completes = events(ego, |k| match k {
-                    EventKind::TaskComplete { ego, .. } => Some(*ego),
+                let submits = tasks(ego, |k| match k {
+                    EventKind::TaskSubmit { ego, task } => Some((*ego, *task)),
                     _ => None,
                 });
-                let expiries = events(ego, |k| match k {
-                    EventKind::TaskExpire { ego, .. } => Some(*ego),
+                let completes = tasks(ego, |k| match k {
+                    EventKind::TaskComplete { ego, task, .. } => Some((*ego, *task)),
                     _ => None,
                 });
-                assert_eq!(submits, tally.submitted, "ego {ego}");
-                assert_eq!(completes, tally.completed, "ego {ego}");
-                assert_eq!(expiries, tally.failed, "ego {ego}");
+                let expiries = tasks(ego, |k| match k {
+                    EventKind::TaskExpire { ego, task } => Some((*ego, *task)),
+                    _ => None,
+                });
+                assert_eq!(fires.len() as u64, tally.submitted, "ego {ego}");
+                assert_eq!(fires, submits, "ego {ego}: a demand fire names its query");
+                assert_eq!(completes.len() as u64, tally.completed, "ego {ego}");
+                assert_eq!(expiries.len() as u64, tally.failed, "ego {ego}");
             }
             let in_flight: u64 = tallies.iter().map(|t| t.in_flight).sum();
             let (r, _) = report(state);

@@ -21,8 +21,9 @@
 //!
 //! Two independent producers exist, and property tests hold them equal:
 //!
-//! * [`QueryTracer`] — the **always-on** integer book the scenario
-//!   runner feeds as the protocol plays out. It powers the
+//! * [`QueryPath`] — the **always-on** integer book of one query, which
+//!   the scenario runner's outcome ledger keeps in the query's record
+//!   and feeds as the protocol plays out. It powers the
 //!   `lat_*_p50/p95` report columns, so the columns are identical
 //!   whether span recording is on or off.
 //! * [`extract`] — recomputes a budget purely from a recorded span tree
@@ -185,9 +186,16 @@ struct Flight {
     arrival: SimTime,
 }
 
-/// One in-flight query's book.
+/// One in-flight query's critical path: an always-on deterministic stage
+/// book plus (when the passed [`SpanLog`] is enabled) the query's span
+/// tree. All integer virtual-time bookkeeping — never wall clock, never
+/// RNG — so the stage columns it feeds are part of the deterministic
+/// output surface. Whoever owns the query owns its path, feeds it as the
+/// protocol plays out and ends it exactly once, through
+/// [`QueryPath::complete`] or [`QueryPath::fail`].
 #[derive(Clone, Debug)]
-struct Inflight {
+pub struct QueryPath {
+    task: u64,
     actor: u32,
     submitted: SimTime,
     first_offer: Option<SimTime>,
@@ -199,37 +207,21 @@ struct Inflight {
     root: Option<SpanId>,
 }
 
-/// The runner-facing tracker: an always-on deterministic stage book per
-/// in-flight query, plus (when the passed [`SpanLog`] is enabled) the
-/// per-query span tree. All integer virtual-time bookkeeping — never
-/// wall clock, never RNG — so the stage columns it feeds are part of the
-/// deterministic output surface.
-#[derive(Clone, Debug, Default)]
-pub struct QueryTracer {
-    inflight: BTreeMap<u64, Inflight>,
-}
-
-impl QueryTracer {
-    /// A fresh tracker.
-    pub fn new() -> Self {
-        QueryTracer::default()
-    }
-
-    /// Books a query submit; opens the root [`SpanKind::Query`] span.
-    pub fn submit(&mut self, log: &mut SpanLog, task: u64, actor: u32, now: SimTime) {
+impl QueryPath {
+    /// Books task `task`'s submit by `actor` at `now`; opens the root
+    /// [`SpanKind::Query`] span.
+    pub fn open(log: &mut SpanLog, task: u64, actor: u32, now: SimTime) -> Self {
         let root = log.open(SpanKind::Query, actor, task, now, None, None);
-        self.inflight.insert(
+        QueryPath {
             task,
-            Inflight {
-                actor,
-                submitted: now,
-                first_offer: None,
-                attempts: BTreeMap::new(),
-                flights: Vec::new(),
-                last_offer_span: None,
-                root,
-            },
-        );
+            actor,
+            submitted: now,
+            first_offer: None,
+            attempts: BTreeMap::new(),
+            flights: Vec::new(),
+            last_offer_span: None,
+            root,
+        }
     }
 
     /// Books one offer leaving the requester for `executor`, with the
@@ -239,42 +231,38 @@ impl QueryTracer {
     pub fn offer_sent(
         &mut self,
         log: &mut SpanLog,
-        task: u64,
         executor: u32,
         now: SimTime,
         delivered: Option<SimTime>,
     ) {
-        let Some(entry) = self.inflight.get_mut(&task) else {
-            return;
-        };
-        if entry.first_offer.is_none() {
-            entry.first_offer = Some(now);
+        if self.first_offer.is_none() {
+            self.first_offer = Some(now);
             log.record(
                 SpanKind::Discover,
-                entry.actor,
-                task,
-                entry.submitted,
+                self.actor,
+                self.task,
+                self.submitted,
                 now,
-                entry.root,
+                self.root,
                 None,
             );
         }
         let offer_span = log.open(
             SpanKind::OfferFlight,
-            entry.actor,
-            task,
+            self.actor,
+            self.task,
             now,
-            entry.root,
-            entry.last_offer_span,
+            self.root,
+            self.last_offer_span,
         );
         if let Some(id) = offer_span {
             match delivered {
                 Some(at) => log.close(id, at),
                 None => log.expire(id, now),
             }
-            entry.last_offer_span = Some(id);
+            self.last_offer_span = Some(id);
         }
-        entry.attempts.insert(
+        self.attempts.insert(
             executor,
             Attempt {
                 offer_sent: now,
@@ -290,18 +278,8 @@ impl QueryTracer {
     /// `now` (execution starts on delivery) and the result is ready at
     /// `ready`. Records the cross-node [`SpanKind::Exec`] span following
     /// from the offer flight that reached this executor.
-    pub fn result_ready(
-        &mut self,
-        log: &mut SpanLog,
-        task: u64,
-        executor: u32,
-        now: SimTime,
-        ready: SimTime,
-    ) {
-        let Some(entry) = self.inflight.get_mut(&task) else {
-            return;
-        };
-        let attempt = entry.attempts.entry(executor).or_insert(Attempt {
+    pub fn result_ready(&mut self, log: &mut SpanLog, executor: u32, now: SimTime, ready: SimTime) {
+        let attempt = self.attempts.entry(executor).or_insert(Attempt {
             offer_sent: now,
             offer_delivered: Some(now),
             result_ready: None,
@@ -312,10 +290,10 @@ impl QueryTracer {
         attempt.exec_span = log.record(
             SpanKind::Exec,
             executor,
-            task,
+            self.task,
             now,
             ready,
-            entry.root,
+            self.root,
             attempt.offer_span,
         );
     }
@@ -327,22 +305,18 @@ impl QueryTracer {
     pub fn result_sent(
         &mut self,
         log: &mut SpanLog,
-        task: u64,
         executor: u32,
         now: SimTime,
         delivered: Option<SimTime>,
     ) {
-        let Some(entry) = self.inflight.get_mut(&task) else {
-            return;
-        };
-        let attempt = entry.attempts.get(&executor).copied();
+        let attempt = self.attempts.get(&executor).copied();
         let exec_span = attempt.and_then(|a| a.exec_span);
         if let Some(id) = log.open(
             SpanKind::ResultFlight,
             executor,
-            task,
+            self.task,
             now,
-            entry.root,
+            self.root,
             exec_span,
         ) {
             match delivered {
@@ -354,7 +328,7 @@ impl QueryTracer {
             if let (Some(offer_delivered), Some(result_ready)) =
                 (attempt.offer_delivered, attempt.result_ready)
             {
-                entry.flights.push(Flight {
+                self.flights.push(Flight {
                     offer_sent: attempt.offer_sent,
                     offer_delivered,
                     result_ready,
@@ -364,43 +338,38 @@ impl QueryTracer {
         }
     }
 
-    /// Books completion: closes the root span, records the
+    /// Books completion at `now`: closes the root span, records the
     /// [`SpanKind::Select`] child (first offer → winning offer, now that
-    /// the winner is known) and returns the query's stage budget — or
-    /// `None` for tasks this tracer never saw submitted (non-offload
-    /// strategies), which the caller books via [`StageBudget::all_exec`].
-    /// The caller keeps the budget; the tracer forgets the query.
-    pub fn complete(&mut self, log: &mut SpanLog, task: u64, now: SimTime) -> Option<StageBudget> {
-        let entry = self.inflight.remove(&task)?;
-        if let Some(root) = entry.root {
+    /// the winner is known) and returns the query's stage budget.
+    pub fn complete(self, log: &mut SpanLog, now: SimTime) -> StageBudget {
+        if let Some(root) = self.root {
             log.close(root, now);
         }
         // The winning chain is the last result flight delivered by
         // completion time — the same rule `extract` applies to the span
         // tree, so the book and the extractor agree by construction.
-        let winner = entry
+        let winner = self
             .flights
             .iter()
             .filter(|f| f.arrival <= now)
             .max_by_key(|f| f.arrival)
             .copied();
-        let total_us = us_between(entry.submitted, now);
-        let budget = match (entry.first_offer, winner) {
+        match (self.first_offer, winner) {
             (Some(first), Some(win)) => {
                 if log.is_enabled() {
                     log.record(
                         SpanKind::Select,
-                        entry.actor,
-                        task,
+                        self.actor,
+                        self.task,
                         first,
                         win.offer_sent.max(first),
-                        entry.root,
+                        self.root,
                         None,
                     );
                 }
                 partition(
-                    task,
-                    entry.submitted,
+                    self.task,
+                    self.submitted,
                     first,
                     win.offer_sent,
                     win.offer_delivered,
@@ -408,30 +377,17 @@ impl QueryTracer {
                     now,
                 )
             }
-            _ => StageBudget::all_exec(task, total_us),
-        };
-        Some(budget)
+            _ => StageBudget::all_exec(self.task, us_between(self.submitted, now)),
+        }
     }
 
     /// Books a failed/expired query: the root span expires at `now`, and
-    /// no stage sample is recorded (the columns decompose *completed*
-    /// latency, mirroring `latencies_ms`).
-    pub fn fail(&mut self, log: &mut SpanLog, task: u64, now: SimTime) {
-        if let Some(entry) = self.inflight.remove(&task) {
-            if let Some(root) = entry.root {
-                log.expire(root, now);
-            }
+    /// no stage budget exists (the columns decompose *completed* latency,
+    /// mirroring `latencies_ms`).
+    pub fn fail(self, log: &mut SpanLog, now: SimTime) {
+        if let Some(root) = self.root {
+            log.expire(root, now);
         }
-    }
-
-    /// End-of-run sweep: queries still in flight at the horizon expire
-    /// their root spans there, and any other leaked span is expired too.
-    pub fn finish(&mut self, log: &mut SpanLog, horizon: SimTime) {
-        let leftover: Vec<u64> = self.inflight.keys().copied().collect();
-        for task in leftover {
-            self.fail(log, task, horizon);
-        }
-        log.expire_open(horizon);
     }
 }
 
@@ -439,7 +395,7 @@ impl QueryTracer {
 /// span tree: the deterministic critical-path extractor behind
 /// `sweep explain`. Returns `None` when the log has no *closed*
 /// [`SpanKind::Query`] root for `task` (never submitted with spans on,
-/// or expired). Equal to the [`QueryTracer`] book for the same run —
+/// or expired). Equal to the [`QueryPath`] book for the same run —
 /// property-pinned in the scenario tests.
 pub fn extract(spans: &[Span], task: u64) -> Option<StageBudget> {
     let root = spans
@@ -509,21 +465,20 @@ mod tests {
     }
 
     /// Play a two-attempt query (first offer dropped, failover wins)
-    /// through the tracer with spans on: the book's budget, the span
+    /// through its path with spans on: the book's budget, the span
     /// tree's extracted budget, and the well-formedness contract must all
     /// agree.
     #[test]
     fn tracer_and_extractor_agree_on_a_failover_query() {
         let mut log = SpanLog::enabled();
-        let mut tracer = QueryTracer::new();
-        tracer.submit(&mut log, 7, 1, t(0));
-        tracer.offer_sent(&mut log, 7, 20, t(3), None); // dropped
-        tracer.offer_sent(&mut log, 7, 21, t(10), Some(t(11)));
-        tracer.result_ready(&mut log, 7, 21, t(11), t(30));
-        tracer.result_sent(&mut log, 7, 21, t(30), Some(t(32)));
-        let book = tracer.complete(&mut log, 7, t(32)).expect("tracked");
+        let mut path = QueryPath::open(&mut log, 7, 1, t(0));
+        path.offer_sent(&mut log, 20, t(3), None); // dropped
+        path.offer_sent(&mut log, 21, t(10), Some(t(11)));
+        path.result_ready(&mut log, 21, t(11), t(30));
+        path.result_sent(&mut log, 21, t(30), Some(t(32)));
+        let book = path.complete(&mut log, t(32));
         let budgets = vec![book];
-        tracer.finish(&mut log, t(100));
+        log.expire_open(t(100));
 
         assert_eq!(book.total_us, 32_000);
         assert_eq!(book.discover_us, 3_000); // submit → first offer
@@ -549,25 +504,17 @@ mod tests {
         assert_eq!(budgets, [book]);
     }
 
-    #[test]
-    fn untracked_tasks_fall_back_to_all_exec() {
-        let mut log = SpanLog::disabled();
-        let mut tracer = QueryTracer::new();
-        assert!(tracer.complete(&mut log, 99, t(5)).is_none());
-        tracer.fail(&mut log, 99, t(5)); // no-op
-        assert!(log.is_empty());
-    }
-
+    /// A failed query and one the horizon cuts off both leave expired
+    /// roots. A failed path is consumed, so it cannot hand out a budget.
     #[test]
     fn expired_queries_leave_expired_roots_and_no_samples() {
         let mut log = SpanLog::enabled();
-        let mut tracer = QueryTracer::new();
-        let mut budgets: Vec<StageBudget> = Vec::new();
-        tracer.submit(&mut log, 1, 1, t(0));
-        tracer.submit(&mut log, 2, 1, t(1));
-        tracer.fail(&mut log, 1, t(9));
-        budgets.extend(tracer.complete(&mut log, 1, t(10)));
-        tracer.finish(&mut log, t(63)); // task 2 still in flight
+        let first = QueryPath::open(&mut log, 1, 1, t(0));
+        let second = QueryPath::open(&mut log, 2, 1, t(1));
+        first.fail(&mut log, t(9));
+        // The horizon: task 2 is still in flight.
+        second.fail(&mut log, t(63));
+        log.expire_open(t(63));
         crate::span::validate_spans(log.spans()).expect("well-formed");
         let roots: Vec<_> = log
             .spans()
@@ -576,7 +523,6 @@ mod tests {
             .collect();
         assert_eq!(roots.len(), 2);
         assert!(roots.iter().all(|r| r.status == SpanStatus::Expired));
-        assert!(budgets.is_empty());
         assert!(
             extract(log.spans(), 1).is_none(),
             "expired roots extract to None"

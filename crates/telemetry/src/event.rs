@@ -194,7 +194,8 @@ pub enum EventKind {
     DemandFire {
         /// The firing ego index.
         ego: u32,
-        /// Ordinal of the demand at this ego (1-based).
+        /// Task id of the query the demand opened (the same id its
+        /// `TaskSubmit` carries).
         task: u64,
     },
 }

@@ -385,17 +385,16 @@ mod tests {
     use crate::span::SpanStatus;
 
     fn sample_spans() -> Vec<Span> {
-        use crate::critical_path::QueryTracer;
+        use crate::critical_path::QueryPath;
         use crate::span::SpanLog;
         let t = SimTime::from_millis;
         let mut log = SpanLog::enabled();
-        let mut tracer = QueryTracer::new();
-        tracer.submit(&mut log, 1, 0, t(2));
-        tracer.offer_sent(&mut log, 1, 7, t(3), Some(t(4)));
-        tracer.result_ready(&mut log, 1, 7, t(4), t(8));
-        tracer.result_sent(&mut log, 1, 7, t(8), Some(t(9)));
-        tracer.complete(&mut log, 1, t(9)).expect("tracked");
-        tracer.finish(&mut log, t(10));
+        let mut path = QueryPath::open(&mut log, 1, 0, t(2));
+        path.offer_sent(&mut log, 7, t(3), Some(t(4)));
+        path.result_ready(&mut log, 7, t(4), t(8));
+        path.result_sent(&mut log, 7, t(8), Some(t(9)));
+        path.complete(&mut log, t(9));
+        log.expire_open(t(10));
         log.spans().to_vec()
     }
 

@@ -44,7 +44,7 @@ pub mod profile;
 pub mod query;
 pub mod span;
 
-pub use critical_path::{extract, QueryTracer, Stage, StageBudget};
+pub use critical_path::{extract, QueryPath, Stage, StageBudget};
 pub use event::{DropReason, Event, EventCategory, EventKind};
 pub use log::{EventLog, Recorded};
 pub use metrics::{Registry, Scope};

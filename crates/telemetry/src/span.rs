@@ -13,9 +13,9 @@
 //! Recording is pure observation: the [`SpanLog`] never touches
 //! simulation state, RNG streams or scheduling, and a disabled log makes
 //! every call a no-op — runs with spans on report byte-identically to
-//! runs with spans off (the stage columns in reports come from the
-//! always-on [`QueryTracer`](crate::critical_path::QueryTracer) book,
-//! never from here).
+//! runs with spans off (the stage columns in reports come from each
+//! query's always-on [`QueryPath`](crate::critical_path::QueryPath)
+//! book, never from here).
 
 use airdnd_sim::SimTime;
 use serde::{Deserialize, Serialize};

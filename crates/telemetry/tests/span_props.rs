@@ -1,12 +1,12 @@
 //! Property tests for the causal span layer: any protocol-shaped
-//! interleaving played through the `QueryTracer` yields a well-formed
+//! interleaving played through each query's `QueryPath` yields a well-formed
 //! span tree, causally ordered edges, and stage budgets that partition
 //! the end-to-end latency exactly — with the span-tree extractor
 //! agreeing with the always-on book.
 
 use airdnd_sim::SimTime;
 use airdnd_telemetry::span::SpanStatus;
-use airdnd_telemetry::{extract, validate_spans, QueryTracer, SpanLog, StageBudget};
+use airdnd_telemetry::{extract, validate_spans, QueryPath, SpanLog, StageBudget};
 use proptest::prelude::*;
 
 /// One generated query: a submit, a chain of offer attempts (some
@@ -49,7 +49,7 @@ fn any_query(task: u64) -> impl Strategy<Value = GenQuery> {
         })
 }
 
-/// Plays a batch of queries through the tracer in virtual-time order,
+/// Plays a batch of queries through their paths in virtual-time order,
 /// returning the recorded spans and the completed queries' budgets.
 fn play(queries: &[GenQuery], spans_on: bool) -> (SpanLog, Vec<StageBudget>) {
     let t = SimTime::from_millis;
@@ -58,29 +58,21 @@ fn play(queries: &[GenQuery], spans_on: bool) -> (SpanLog, Vec<StageBudget>) {
     } else {
         SpanLog::disabled()
     };
-    let mut tracer = QueryTracer::new();
     let mut samples = Vec::new();
     let mut horizon = 0u64;
     for q in queries {
         let mut now = q.submit_ms;
-        tracer.submit(&mut log, q.task, q.actor, t(now));
+        let mut path = QueryPath::open(&mut log, q.task, q.actor, t(now));
         let mut any_result = false;
         for &(executor, gap, delivered, exec_ms, result_ok) in &q.attempts {
             now += gap;
             let arrival = now + 1;
-            tracer.offer_sent(
-                &mut log,
-                q.task,
-                executor,
-                t(now),
-                delivered.then(|| t(arrival)),
-            );
+            path.offer_sent(&mut log, executor, t(now), delivered.then(|| t(arrival)));
             if delivered {
                 let ready = arrival + exec_ms;
-                tracer.result_ready(&mut log, q.task, executor, t(arrival), t(ready));
-                tracer.result_sent(
+                path.result_ready(&mut log, executor, t(arrival), t(ready));
+                path.result_sent(
                     &mut log,
-                    q.task,
                     executor,
                     t(ready),
                     result_ok.then(|| t(ready + 1)),
@@ -94,16 +86,13 @@ fn play(queries: &[GenQuery], spans_on: bool) -> (SpanLog, Vec<StageBudget>) {
             }
         }
         if q.completes && any_result {
-            let budget = tracer
-                .complete(&mut log, q.task, t(now))
-                .unwrap_or_else(|| StageBudget::all_exec(q.task, 0));
-            samples.push(budget);
+            samples.push(path.complete(&mut log, t(now)));
         } else {
-            tracer.fail(&mut log, q.task, t(now + 5));
+            path.fail(&mut log, t(now + 5));
         }
         horizon = horizon.max(now + 10);
     }
-    tracer.finish(&mut log, t(horizon));
+    log.expire_open(t(horizon));
     (log, samples)
 }
 

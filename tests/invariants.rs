@@ -115,7 +115,7 @@ proptest! {
         for &age in &ages {
             catalog.insert(
                 DataType::DetectionList,
-                100,
+                Vec::new(),
                 QualityDescriptor::basic(SimTime::from_secs(20 - age), 0.9, 1.0),
             );
         }
