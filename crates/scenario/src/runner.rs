@@ -1239,10 +1239,17 @@ fn simulate(mut world: WorldInstance, cfg: ScenarioConfig, opts: TelemetryOption
     // Query origins: the primary ego plus one vehicle per extra route,
     // each with its own occlusion grid derived along its own path.
     let kernel = library::burn_and_echo(cfg.task_compute_rounds);
-    let gas_budget_for = |cells: usize| {
-        // Exact kernel cost on this grid, plus 25 % headroom.
+    // Exact kernel cost on a grid, plus 25 % headroom: measured once per
+    // distinct cell count, since many egos share a grid size.
+    let mut budgets: Vec<(usize, u64)> = Vec::new();
+    let mut gas_budget_for = |cells: usize| {
+        if let Some(&(_, budget)) = budgets.iter().find(|&&(c, _)| c == cells) {
+            return budget;
+        }
         let measured = library::measure_gas(&kernel, &vec![0i64; cells]);
-        measured + measured / 4 + 10_000
+        let budget = measured + measured / 4 + 10_000;
+        budgets.push((cells, budget));
+        budget
     };
     let ego_gas = fleet.ego().node.executor().gas_rate();
     let mut egos = vec![EgoState::new(

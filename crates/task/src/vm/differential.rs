@@ -26,12 +26,19 @@ fn check(program: &VerifiedProgram, inputs: &[i64], limits: ExecLimits) -> Resul
     lowered.map(|_| ())
 }
 
-/// A constant: usually small, sometimes anywhere in `i64`.
+/// A constant: usually small, sometimes at either edge of `i32` (where
+/// the loop idioms stop fusing) or anywhere in `i64`.
 fn constant(rng: &mut TestRng) -> i64 {
-    if rng.below(4) == 0 {
-        rng.next_u64() as i64
-    } else {
-        rng.below(9) as i64 - 4
+    const EDGES: [i64; 4] = [
+        i32::MIN as i64 - 1,
+        i32::MIN as i64,
+        i32::MAX as i64,
+        i32::MAX as i64 + 1,
+    ];
+    match rng.below(8) {
+        0 => rng.next_u64() as i64,
+        1 => pick(rng, &EDGES),
+        _ => rng.below(9) as i64 - 4,
     }
 }
 
@@ -64,14 +71,24 @@ fn random_program(rng: &mut TestRng) -> Program {
         let a = address(rng, memory_words);
         let c = constant(rng);
         let binop = pick(rng, &BINOPS);
-        let chunk = match rng.below(10) {
+        let cmp = pick(rng, &COMPARISONS);
+        let branch = pick(rng, &[Jz(0), Jnz(0)]);
+        let chunk = match rng.below(15) {
             0 => vec![Push(a), Load],
             1 if h >= 1 => vec![Push(a), Store],
             2 => vec![Push(c), Push(a), Store],
             3 => vec![Push(a), Load, Push(c), Add, Push(a), Store],
             4 if h >= 1 => vec![Push(c), binop],
-            5 if h >= 2 => vec![pick(rng, &COMPARISONS), pick(rng, &[Jz(0), Jnz(0)])],
+            5 if h >= 2 => vec![cmp, branch],
             6 => vec![pick(rng, &[Jmp(0), Jz(0), Jnz(0), Halt])],
+            // The loop idioms: tests against the input length and against
+            // a constant, indexed reads (a `Div`/`Rem` meets zero inputs
+            // often) and the step-and-jump latch.
+            7 => vec![Push(a), Load, InputLen, cmp, branch],
+            8 => vec![Push(a), Load, Push(c), cmp, branch],
+            9 => vec![Push(a), Load, Input],
+            10 if h >= 1 => vec![Push(a), Load, Input, binop],
+            11 => vec![Push(a), Load, Push(c), Add, Push(a), Store, Jmp(0)],
             _ => {
                 let singles = [
                     Push(c),
@@ -193,6 +210,11 @@ fn random_programs_cover_every_trap_and_superinstruction() {
         "StoreVar",
         "SetVar",
         "AddVar",
+        "InputVar",
+        "BinInputVar",
+        "VarLenBranch",
+        "VarConstBranch",
+        "AddVarJump",
         "CmpBranch",
         "Branch",
         "Jump",
@@ -256,6 +278,199 @@ fn jump_into_the_middle_of_a_fusable_pair() {
     ];
     assert_eq!(run(code.clone(), 2, &[]), Ok(vec![0]));
     assert_eq!(run(code, 2, &[5]), Ok(vec![7]));
+}
+
+/// `true` if `program` lowers any op `is` accepts.
+fn lowers_to(program: &VerifiedProgram, is: impl Fn(&Op) -> bool) -> bool {
+    program.lowered().ops.iter().any(is)
+}
+
+#[test]
+fn jump_into_the_middle_of_a_loop_test() {
+    // `Push 0; Load; InputLen; Ge; Jnz` at 4..=8 would fuse into one op,
+    // but 2 jumps to the `InputLen` with 9 already on the stack.
+    let code = vec![
+        Push(9),
+        InputLen,
+        Jnz(6), // 0..=2  with inputs, test 9 >= len
+        Pop,
+        Push(0),
+        Load,
+        InputLen,
+        Ge,
+        Jnz(11), // 3..=8  mem[0] >= len
+        Push(1),
+        Output, // 9..=10  only while the test fails
+        Push(2),
+        Output,
+    ];
+    let program = verify(Program::new(code.clone(), 1)).unwrap();
+    assert!(!lowers_to(&program, |op| matches!(
+        op,
+        Op::VarLenBranch { .. }
+    )));
+    assert_eq!(run(code.clone(), 1, &[]), Ok(vec![2]));
+    assert_eq!(run(code.clone(), 1, &[4]), Ok(vec![2]));
+    // Without the jump the same test fuses, and 0 >= 1 fails.
+    let fused: Vec<Instr> = code[4..]
+        .iter()
+        .map(|&i| match i {
+            Jnz(t) => Jnz(t - 4),
+            other => other,
+        })
+        .collect();
+    let program = verify(Program::new(fused.clone(), 1)).unwrap();
+    assert!(lowers_to(&program, |op| matches!(
+        op,
+        Op::VarLenBranch { .. }
+    )));
+    assert_eq!(run(fused, 1, &[4]), Ok(vec![1, 2]));
+}
+
+#[test]
+fn jump_into_the_middle_of_a_step_and_jump() {
+    // `incr_var(0); Jmp` at 7..=13 would fuse into one op, but 5 jumps to
+    // its `Push 0; Store` with 40 on the stack.
+    let code = vec![
+        Push(5),
+        Push(0),
+        Store, // 0..=2  mem[0] = 5
+        Push(40),
+        InputLen,
+        Jnz(11), // 3..=5  with inputs, mem[0] = 40
+        Pop,
+        Push(0),
+        Load,
+        Push(1),
+        Add,
+        Push(0),
+        Store,
+        Jmp(14), // 6..=13
+        Push(0),
+        Load,
+        Output,
+    ];
+    let program = verify(Program::new(code.clone(), 1)).unwrap();
+    assert!(!lowers_to(&program, |op| matches!(
+        op,
+        Op::AddVar { .. } | Op::AddVarJump { .. }
+    )));
+    assert_eq!(run(code.clone(), 1, &[]), Ok(vec![6]));
+    assert_eq!(run(code, 1, &[1]), Ok(vec![40]));
+}
+
+#[test]
+fn indexed_reads_trap_at_the_input() {
+    for index in [2, -1] {
+        // `set_var(0, index)`, then an indexed read (3..=5) and output.
+        let code = vec![Push(index), Push(0), Store, Push(0), Load, Input, Output];
+        let program = verify(Program::new(code.clone(), 1)).unwrap();
+        assert!(matches!(
+            program.lowered().ops[1],
+            Op::InputVar { addr: 0, pc: 5 }
+        ));
+        assert_eq!(
+            run(code, 1, &[7, 8]),
+            Err(Trap::InputOutOfBounds { pc: 5, index })
+        );
+        // The same read folded into an `Add` (4..=7).
+        let code = vec![
+            Push(index),
+            Push(0),
+            Store,
+            Push(3),
+            Push(0),
+            Load,
+            Input,
+            Add,
+            Output,
+        ];
+        let program = verify(Program::new(code.clone(), 1)).unwrap();
+        assert!(matches!(
+            program.lowered().ops[2],
+            Op::BinInputVar { addr: 0, pc: 6, .. }
+        ));
+        assert_eq!(
+            run(code, 1, &[7, 8]),
+            Err(Trap::InputOutOfBounds { pc: 6, index })
+        );
+    }
+}
+
+#[test]
+fn zero_input_divisor_traps_at_the_binop() {
+    for binop in [Div, Rem] {
+        // 7 ⊕ inputs[mem[0]], the read and the binop at 1..=4.
+        let code = vec![Push(7), Push(0), Load, Input, binop, Output];
+        let program = verify(Program::new(code.clone(), 1)).unwrap();
+        assert!(lowers_to(&program, |op| matches!(
+            op,
+            Op::BinInputVar { pc: 3, .. }
+        )));
+        assert_eq!(run(code.clone(), 1, &[0]), Err(Trap::DivByZero { pc: 4 }));
+        let expected = if binop == Div { 3 } else { 1 };
+        assert_eq!(run(code, 1, &[2]), Ok(vec![expected]));
+    }
+}
+
+#[test]
+fn constants_outside_i32_keep_the_short_ops() {
+    let big = i64::from(i32::MAX) + 1;
+    // A loop test against a constant just outside `i32`.
+    let code = vec![Push(0), Load, Push(big), Lt, Jnz(7), Push(1), Output];
+    let program = verify(Program::new(code.clone(), 1)).unwrap();
+    assert!(!lowers_to(&program, |op| matches!(
+        op,
+        Op::VarConstBranch { .. }
+    )));
+    assert_eq!(run(code, 1, &[]), Ok(vec![]));
+    // A step-and-jump by a step just below `i32`.
+    let code = vec![
+        Push(0),
+        Load,
+        Push(-big - 1),
+        Add,
+        Push(0),
+        Store,
+        Jmp(7),
+        Push(0),
+        Load,
+        Output,
+    ];
+    let program = verify(Program::new(code.clone(), 1)).unwrap();
+    assert!(!lowers_to(&program, |op| matches!(
+        op,
+        Op::AddVarJump { .. }
+    )));
+    assert!(lowers_to(&program, |op| matches!(op, Op::AddVar { .. })));
+    assert_eq!(run(code, 1, &[]), Ok(vec![-big - 1]));
+    // At the edges of `i32` both fuse.
+    for c in [i64::from(i32::MIN), i64::from(i32::MAX)] {
+        let code = vec![
+            Push(0),
+            Load,
+            Push(c),
+            Ne,
+            Jz(5),
+            Push(0),
+            Load,
+            Push(c),
+            Add,
+            Push(0),
+            Store,
+            Jmp(12),
+        ];
+        let program = verify(Program::new(code.clone(), 1)).unwrap();
+        assert!(lowers_to(&program, |op| matches!(
+            op,
+            Op::VarConstBranch { .. }
+        )));
+        assert!(lowers_to(&program, |op| matches!(
+            op,
+            Op::AddVarJump { .. }
+        )));
+        assert_eq!(run(code, 1, &[]), Ok(vec![]));
+    }
 }
 
 #[test]

@@ -170,32 +170,60 @@ pub fn execute(
                     m.memory[addr as usize] = v;
                 }
                 Op::SetVar { addr, c } => m.memory[addr as usize] = c,
-                Op::AddVar { addr, c } => {
-                    let slot = &mut m.memory[addr as usize];
-                    *slot = slot.wrapping_add(c);
+                Op::AddVar { addr, c } => m.add_var(addr, c),
+                Op::InputVar { addr, pc } => {
+                    let v = m.input_at(m.memory[addr as usize], pc as usize)?;
+                    m.push(v);
+                }
+                Op::BinInputVar { op, addr, pc } => {
+                    let v = m.input_at(m.memory[addr as usize], pc as usize)?;
+                    let top = m.top();
+                    *top = op.eval(*top, v).ok_or(Trap::DivByZero {
+                        pc: pc as usize + 1,
+                    })?;
                 }
                 Op::Jump { to } => break to as usize,
                 Op::Branch { nonzero, to } => {
-                    break if (m.pop() != 0) == nonzero {
-                        to as usize
-                    } else {
-                        block + 1
-                    };
+                    break branch((m.pop() != 0) == nonzero, to, block);
                 }
-                Op::CmpBranch { cmp, nonzero, to } => {
+                Op::CmpBranch { cmp, to } => {
                     let b = m.pop();
                     let a = m.pop();
-                    let taken = cmp.eval(a, b).expect("comparisons never trap") != 0;
-                    break if taken == nonzero {
-                        to as usize
-                    } else {
-                        block + 1
-                    };
+                    break branch(compare(cmp, a, b), to, block);
+                }
+                Op::VarLenBranch { cmp, addr, to } => {
+                    let a = m.memory[addr as usize];
+                    break branch(compare(cmp, a, inputs.len() as i64), to, block);
+                }
+                Op::VarConstBranch { cmp, addr, c, to } => {
+                    let a = m.memory[addr as usize];
+                    break branch(compare(cmp, a, i64::from(c)), to, block);
+                }
+                Op::AddVarJump { addr, c, to } => {
+                    m.add_var(addr, i64::from(c));
+                    break to as usize;
                 }
                 Op::Halt => return Ok(m.finish()),
             }
         };
     }
+}
+
+/// The block a branch from `block` continues at: `to` if taken, else the
+/// next block.
+#[inline(always)]
+fn branch(taken: bool, to: u32, block: usize) -> usize {
+    if taken {
+        to as usize
+    } else {
+        block + 1
+    }
+}
+
+/// `a <cmp> b` as a truth value.
+#[inline(always)]
+fn compare(cmp: Bin, a: i64, b: i64) -> bool {
+    cmp.eval(a, b).expect("comparisons never trap") != 0
 }
 
 /// Executes one original instruction at a time from the start: the
@@ -323,14 +351,28 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
+    /// `inputs[index]`, or the trap an `Input` at `pc` raises.
+    #[inline(always)]
+    fn input_at(&self, index: i64, pc: usize) -> Result<i64, Trap> {
+        match usize::try_from(index).ok().and_then(|i| self.inputs.get(i)) {
+            Some(&v) => Ok(v),
+            None => Err(Trap::InputOutOfBounds { pc, index }),
+        }
+    }
+
     #[inline(always)]
     fn input(&mut self, pc: usize) -> Result<(), Trap> {
         let index = self.pop();
-        let Some(&v) = usize::try_from(index).ok().and_then(|i| self.inputs.get(i)) else {
-            return Err(Trap::InputOutOfBounds { pc, index });
-        };
+        let v = self.input_at(index, pc)?;
         self.push(v);
         Ok(())
+    }
+
+    /// `mem[addr] += c` at an address the lowering proved in bounds.
+    #[inline(always)]
+    fn add_var(&mut self, addr: u32, c: i64) {
+        let slot = &mut self.memory[addr as usize];
+        *slot = slot.wrapping_add(c);
     }
 
     #[inline(always)]

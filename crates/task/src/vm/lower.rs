@@ -11,13 +11,29 @@
 //!   meters once per block instead of once per instruction.
 //! * **A flat op array.** Each block's ops are contiguous and end in
 //!   exactly one control op ([`Op::Jump`], [`Op::Branch`],
-//!   [`Op::CmpBranch`] or [`Op::Halt`]); jumps name blocks, not
+//!   [`Op::CmpBranch`], [`Op::VarLenBranch`], [`Op::VarConstBranch`],
+//!   [`Op::AddVarJump`] or [`Op::Halt`]); jumps name blocks, not
 //!   instruction indices. A jump to `code.len()` names the empty exit
 //!   block, the last one.
-//! * **Superinstructions** for the assembler's own idioms: `load_var`,
-//!   `store_var`, `set_var` and `incr_var` on a constant address inside
-//!   declared memory, `Push c; <binop>`, and `<cmp>; Jz/Jnz`. A pattern is
-//!   fused only inside one block, so a jump into its middle splits it.
+//! * **Superinstructions** for the assembler's own idioms. A
+//!   *superinstruction* is one op that stands for several original
+//!   instructions:
+//!   - `load_var`, `store_var`, `set_var` and `incr_var` on a constant
+//!     address inside declared memory ([`Op::LoadVar`], [`Op::StoreVar`],
+//!     [`Op::SetVar`], [`Op::AddVar`]);
+//!   - `Push c; <binop>` ([`Op::BinConst`]) and `<cmp>; Jz/Jnz`
+//!     ([`Op::CmpBranch`]);
+//!   - the loop idioms the library kernels are built from: a loop test
+//!     of a variable against the input length ([`Op::VarLenBranch`]) or
+//!     against a constant ([`Op::VarConstBranch`]), an indexed read
+//!     `load_var; Input` ([`Op::InputVar`]), the same read folded into a
+//!     binop ([`Op::BinInputVar`]), and the loop latch `incr_var; Jmp`
+//!     ([`Op::AddVarJump`]).
+//!
+//!   A pattern is fused only inside one block, so a jump into its middle
+//!   splits it. The loop idioms carry their constants as `i32`, which
+//!   keeps [`Op`] at 16 bytes; a constant outside `i32` leaves its
+//!   pattern to the shorter ops.
 //!
 //! Ops that can trap on runtime values (memory and input indices,
 //! divisors, the output limit) keep the index of their original
@@ -103,11 +119,19 @@ impl Bin {
         })
     }
 
-    fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            Bin::Eq | Bin::Ne | Bin::Lt | Bin::Le | Bin::Gt | Bin::Ge
-        )
+    /// The comparison under which `<self>; Jz/Jnz` jumps: `self` for
+    /// `Jnz`, its negation for `Jz`; `None` unless `self` compares.
+    fn jump_test(self, jnz: bool) -> Option<Bin> {
+        let (holds, fails) = match self {
+            Bin::Eq => (Bin::Eq, Bin::Ne),
+            Bin::Ne => (Bin::Ne, Bin::Eq),
+            Bin::Lt => (Bin::Lt, Bin::Ge),
+            Bin::Ge => (Bin::Ge, Bin::Lt),
+            Bin::Le => (Bin::Le, Bin::Gt),
+            Bin::Gt => (Bin::Gt, Bin::Le),
+            _ => return None,
+        };
+        Some(if jnz { holds } else { fails })
     }
 }
 
@@ -163,6 +187,19 @@ pub(super) enum Op {
         addr: u32,
         c: i64,
     },
+    /// `Push addr; Load; Input`: `[] → [inputs[mem[addr]]]`. `pc` is the
+    /// `Input`'s.
+    InputVar {
+        addr: u32,
+        pc: u32,
+    },
+    /// `Push addr; Load; Input; <binop>`: `[a] → [a ⊕ inputs[mem[addr]]]`.
+    /// `pc` is the `Input`'s; the binop's is `pc + 1`.
+    BinInputVar {
+        op: Bin,
+        addr: u32,
+        pc: u32,
+    },
     /// Continue at block `to`: an original `Jmp`, or falling into the next
     /// block.
     Jump {
@@ -174,16 +211,44 @@ pub(super) enum Op {
         nonzero: bool,
         to: u32,
     },
-    /// `<cmp>; Jz/Jnz`: pop `b`, `a`; branch on `a <cmp> b` as
-    /// [`Op::Branch`] does on `c`.
+    /// `<cmp>; Jz/Jnz`: pop `b`, `a`; continue at block `to` if
+    /// `a <cmp> b`, else at the next block. `cmp` is the jump's condition:
+    /// the original comparison under `Jnz`, its negation under `Jz`, so
+    /// the op tests no polarity at run time.
     CmpBranch {
         cmp: Bin,
-        nonzero: bool,
+        to: u32,
+    },
+    /// `Push addr; Load; InputLen; <cmp>; Jz/Jnz`: continue at block `to`
+    /// if `mem[addr] <cmp> inputs.len()`, else at the next block; `cmp` as
+    /// in [`Op::CmpBranch`].
+    VarLenBranch {
+        cmp: Bin,
+        addr: u32,
+        to: u32,
+    },
+    /// `Push addr; Load; Push c; <cmp>; Jz/Jnz`: continue at block `to` if
+    /// `mem[addr] <cmp> c`, else at the next block; `cmp` as in
+    /// [`Op::CmpBranch`].
+    VarConstBranch {
+        cmp: Bin,
+        addr: u32,
+        c: i32,
+        to: u32,
+    },
+    /// [`Op::AddVar`] followed by `Jmp`: `mem[addr] += c`, then continue
+    /// at block `to`.
+    AddVarJump {
+        addr: u32,
+        c: i32,
         to: u32,
     },
     /// Stop: an original `Halt`, or the end of the code.
     Halt,
 }
+
+// The loop idioms carry `i32` constants so that an op stays this size.
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 /// One basic block: where it starts and what it costs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,7 +322,15 @@ pub(super) fn lower(code: &[Instr], memory_words: u32) -> Lowered {
         }
         if !matches!(
             lowered.ops.last(),
-            Some(Op::Jump { .. } | Op::Branch { .. } | Op::CmpBranch { .. } | Op::Halt)
+            Some(
+                Op::Jump { .. }
+                    | Op::Branch { .. }
+                    | Op::CmpBranch { .. }
+                    | Op::VarLenBranch { .. }
+                    | Op::VarConstBranch { .. }
+                    | Op::AddVarJump { .. }
+                    | Op::Halt
+            )
         ) {
             lowered.ops.push(Op::Jump { to: next_block });
         }
@@ -281,10 +354,68 @@ fn lower_one(rest: &[Instr], pc: usize, memory_words: u32, block_at: &[u32]) -> 
     // A constant address inside declared memory; such an access cannot trap.
     let var = |addr: i64| (0..i64::from(memory_words)).contains(&addr);
     let pc32 = pc as u32;
+    // The comparison under which `<cmp>; Jz/Jnz` jumps.
+    let test = |cmp: Instr, jump: Instr| Bin::of(cmp)?.jump_test(matches!(jump, Jnz(_)));
+    let small = |c: i64| i32::try_from(c).ok();
+    let to = |t: u32| block_at[t as usize];
     match *rest {
+        [Push(a), Load, Push(c), Add, Push(b), Store, Jmp(t), ..]
+            if a == b && var(a) && small(c).is_some() =>
+        {
+            (
+                Op::AddVarJump {
+                    addr: a as u32,
+                    c: small(c).expect("guarded"),
+                    to: to(t),
+                },
+                7,
+            )
+        }
         [Push(a), Load, Push(c), Add, Push(b), Store, ..] if a == b && var(a) => {
             (Op::AddVar { addr: a as u32, c }, 6)
         }
+        [Push(a), Load, InputLen, cmp, jump @ (Jz(t) | Jnz(t)), ..]
+            if var(a) && test(cmp, jump).is_some() =>
+        {
+            (
+                Op::VarLenBranch {
+                    cmp: test(cmp, jump).expect("guarded"),
+                    addr: a as u32,
+                    to: to(t),
+                },
+                5,
+            )
+        }
+        [Push(a), Load, Push(c), cmp, jump @ (Jz(t) | Jnz(t)), ..]
+            if var(a) && test(cmp, jump).is_some() && small(c).is_some() =>
+        {
+            (
+                Op::VarConstBranch {
+                    cmp: test(cmp, jump).expect("guarded"),
+                    addr: a as u32,
+                    c: small(c).expect("guarded"),
+                    to: to(t),
+                },
+                5,
+            )
+        }
+        // A zero input to `Div`/`Rem` traps at the binop's own pc, which
+        // the op derives from the `Input`'s.
+        [Push(a), Load, Input, next, ..] if var(a) && Bin::of(next).is_some() => (
+            Op::BinInputVar {
+                op: Bin::of(next).expect("guarded"),
+                addr: a as u32,
+                pc: pc32 + 2,
+            },
+            4,
+        ),
+        [Push(a), Load, Input, ..] if var(a) => (
+            Op::InputVar {
+                addr: a as u32,
+                pc: pc32 + 2,
+            },
+            3,
+        ),
         [Push(c), Push(a), Store, ..] if var(a) => (Op::SetVar { addr: a as u32, c }, 3),
         [Push(a), Load, ..] if var(a) => (Op::LoadVar { addr: a as u32 }, 2),
         [Push(a), Store, ..] if var(a) => (Op::StoreVar { addr: a as u32 }, 2),
@@ -294,11 +425,10 @@ fn lower_one(rest: &[Instr], pc: usize, memory_words: u32, block_at: &[u32]) -> 
             let op = Bin::of(next).expect("guarded");
             (Op::BinConst { op, c }, 2)
         }
-        [cmp, Jz(t) | Jnz(t), ..] if Bin::of(cmp).is_some_and(Bin::is_comparison) => (
+        [cmp, jump @ (Jz(t) | Jnz(t)), ..] if test(cmp, jump).is_some() => (
             Op::CmpBranch {
-                cmp: Bin::of(cmp).expect("guarded"),
-                nonzero: matches!(rest[1], Jnz(_)),
-                to: block_at[t as usize],
+                cmp: test(cmp, jump).expect("guarded"),
+                to: to(t),
             },
             2,
         ),
@@ -317,12 +447,10 @@ fn lower_one(rest: &[Instr], pc: usize, memory_words: u32, block_at: &[u32]) -> 
                 Input => Op::Input { pc: pc32 },
                 InputLen => Op::InputLen,
                 Output => Op::Output { pc: pc32 },
-                Jmp(t) => Op::Jump {
-                    to: block_at[t as usize],
-                },
+                Jmp(t) => Op::Jump { to: to(t) },
                 Jz(t) | Jnz(t) => Op::Branch {
                     nonzero: matches!(instr, Jnz(_)),
-                    to: block_at[t as usize],
+                    to: to(t),
                 },
                 Halt => Op::Halt,
                 _ => Op::Bin {
@@ -333,5 +461,93 @@ fn lower_one(rest: &[Instr], pc: usize, memory_words: u32, block_at: &[u32]) -> 
             (op, 1)
         }
         [] => unreachable!("blocks are never empty"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::library;
+
+    /// The block that holds op `i`.
+    fn block_of(blocks: &[Block], i: usize) -> usize {
+        blocks.partition_point(|b| b.op as usize <= i) - 1
+    }
+
+    #[test]
+    fn burn_and_echo_inner_loop_lowers_to_six_ops() {
+        const FNV_PRIME: i64 = 0x100000001b3;
+        let kernel = library::burn_and_echo(150);
+        let Lowered { blocks, ops } = kernel.lowered();
+        // Block 2 is the inner loop's test (instructions 8..=12), block 3
+        // its body and latch (13..=29), block 4 the outer latch.
+        assert_eq!((blocks[2].pc, blocks[3].pc, blocks[4].pc), (8, 13, 30));
+        let inner = &ops[blocks[2].op as usize..blocks[4].op as usize];
+        assert_eq!(
+            inner,
+            [
+                Op::VarLenBranch {
+                    cmp: Bin::Ge,
+                    addr: 1,
+                    to: 4,
+                },
+                Op::LoadVar { addr: 2 },
+                Op::BinInputVar {
+                    op: Bin::Xor,
+                    addr: 1,
+                    pc: 17,
+                },
+                // The FNV prime is outside `i32`; its multiply stays short.
+                Op::BinConst {
+                    op: Bin::Mul,
+                    c: FNV_PRIME,
+                },
+                Op::StoreVar { addr: 2 },
+                Op::AddVarJump {
+                    addr: 1,
+                    c: 1,
+                    to: 2,
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn every_library_loop_test_is_one_op() {
+        let kernels = [
+            ("sum_inputs", library::sum_inputs()),
+            ("echo_inputs", library::echo_inputs()),
+            ("grid_fuse", library::grid_fuse(4)),
+            ("count_above", library::count_above(2)),
+            ("matmul", library::matmul(2)),
+            ("burn_and_echo", library::burn_and_echo(3)),
+            ("checksum", library::checksum()),
+        ];
+        for (name, kernel) in &kernels {
+            let Lowered { blocks, ops } = kernel.lowered();
+            // A loop's test block is the target of a backward jump.
+            let mut tests: Vec<usize> = ops
+                .iter()
+                .enumerate()
+                .filter_map(|(i, op)| match *op {
+                    Op::Jump { to } | Op::AddVarJump { to, .. }
+                        if to as usize <= block_of(blocks, i) =>
+                    {
+                        Some(to as usize)
+                    }
+                    _ => None,
+                })
+                .collect();
+            tests.sort_unstable();
+            tests.dedup();
+            assert!(!tests.is_empty(), "{name} has no loop");
+            for b in tests {
+                let test = &ops[blocks[b].op as usize..blocks[b + 1].op as usize];
+                assert!(
+                    matches!(test, [Op::VarLenBranch { .. } | Op::VarConstBranch { .. }]),
+                    "{name}'s loop test at block {b} lowers to {test:?}"
+                );
+            }
+        }
     }
 }

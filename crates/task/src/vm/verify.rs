@@ -16,10 +16,18 @@
 //! Verification also *lowers* the program, once, into the private form the
 //! interpreter runs: basic blocks with precomputed gas and instruction
 //! totals, a flat op array whose jumps name blocks, and superinstructions
-//! for the assembler's idioms (constant-address variable access,
-//! `Push c; <binop>`, `<cmp>; Jz/Jnz`). A node that verifies an offer
-//! once can then run it any number of times without decoding it again;
-//! see [`execute`](super::execute()) for why block metering stays exact.
+//! for the assembler's idioms:
+//!
+//! * constant-address variable access (`load_var`, `store_var`,
+//!   `set_var`, `incr_var`), `Push c; <binop>` and `<cmp>; Jz/Jnz`;
+//! * the loop idioms the library kernels are built from: a loop test of a
+//!   variable against the input length or a constant, an indexed read
+//!   `load_var; Input`, alone or folded into the next binop, and the
+//!   latch `incr_var; Jmp`.
+//!
+//! A node that verifies an offer once can then run it any number of times
+//! without decoding it again; see [`execute`](super::execute()) for why
+//! block metering stays exact.
 
 use super::isa::{Instr, Program, MAX_CODE_LEN, MAX_MEMORY_WORDS, MAX_STACK};
 use super::lower::{lower, Lowered};
