@@ -27,7 +27,7 @@ fn check(program: &VerifiedProgram, inputs: &[i64], limits: ExecLimits) -> Resul
 }
 
 /// A constant: usually small, sometimes at either edge of `i32` (where
-/// the loop idioms stop fusing) or anywhere in `i64`.
+/// the loop latch stops fusing) or anywhere in `i64`.
 fn constant(rng: &mut TestRng) -> i64 {
     const EDGES: [i64; 4] = [
         i32::MIN as i64 - 1,
@@ -73,7 +73,7 @@ fn random_program(rng: &mut TestRng) -> Program {
         let binop = pick(rng, &BINOPS);
         let cmp = pick(rng, &COMPARISONS);
         let branch = pick(rng, &[Jz(0), Jnz(0)]);
-        let chunk = match rng.below(15) {
+        let chunk = match rng.below(13) {
             0 => vec![Push(a), Load],
             1 if h >= 1 => vec![Push(a), Store],
             2 => vec![Push(c), Push(a), Store],
@@ -81,14 +81,13 @@ fn random_program(rng: &mut TestRng) -> Program {
             4 if h >= 1 => vec![Push(c), binop],
             5 if h >= 2 => vec![cmp, branch],
             6 => vec![pick(rng, &[Jmp(0), Jz(0), Jnz(0), Halt])],
-            // The loop idioms: tests against the input length and against
-            // a constant, indexed reads (a `Div`/`Rem` meets zero inputs
-            // often) and the step-and-jump latch.
+            // The idioms of a loop over the inputs: its test against the
+            // input length, an indexed read folded into a binop (a
+            // `Div`/`Rem` meets zero inputs often) and the step-and-jump
+            // latch.
             7 => vec![Push(a), Load, InputLen, cmp, branch],
-            8 => vec![Push(a), Load, Push(c), cmp, branch],
-            9 => vec![Push(a), Load, Input],
-            10 if h >= 1 => vec![Push(a), Load, Input, binop],
-            11 => vec![Push(a), Load, Push(c), Add, Push(a), Store, Jmp(0)],
+            8 if h >= 1 => vec![Push(a), Load, Input, binop],
+            9 => vec![Push(a), Load, Push(c), Add, Push(a), Store, Jmp(0)],
             _ => {
                 let singles = [
                     Push(c),
@@ -210,10 +209,8 @@ fn random_programs_cover_every_trap_and_superinstruction() {
         "StoreVar",
         "SetVar",
         "AddVar",
-        "InputVar",
         "BinInputVar",
         "VarLenBranch",
-        "VarConstBranch",
         "AddVarJump",
         "CmpBranch",
         "Branch",
@@ -362,18 +359,8 @@ fn jump_into_the_middle_of_a_step_and_jump() {
 #[test]
 fn indexed_reads_trap_at_the_input() {
     for index in [2, -1] {
-        // `set_var(0, index)`, then an indexed read (3..=5) and output.
-        let code = vec![Push(index), Push(0), Store, Push(0), Load, Input, Output];
-        let program = verify(Program::new(code.clone(), 1)).unwrap();
-        assert!(matches!(
-            program.lowered().ops[1],
-            Op::InputVar { addr: 0, pc: 5 }
-        ));
-        assert_eq!(
-            run(code, 1, &[7, 8]),
-            Err(Trap::InputOutOfBounds { pc: 5, index })
-        );
-        // The same read folded into an `Add` (4..=7).
+        // `set_var(0, index)`, then an indexed read folded into an `Add`
+        // (4..=7) and output.
         let code = vec![
             Push(index),
             Push(0),
@@ -415,61 +402,33 @@ fn zero_input_divisor_traps_at_the_binop() {
 
 #[test]
 fn constants_outside_i32_keep_the_short_ops() {
-    let big = i64::from(i32::MAX) + 1;
-    // A loop test against a constant just outside `i32`.
-    let code = vec![Push(0), Load, Push(big), Lt, Jnz(7), Push(1), Output];
-    let program = verify(Program::new(code.clone(), 1)).unwrap();
-    assert!(!lowers_to(&program, |op| matches!(
-        op,
-        Op::VarConstBranch { .. }
-    )));
-    assert_eq!(run(code, 1, &[]), Ok(vec![]));
-    // A step-and-jump by a step just below `i32`.
-    let code = vec![
-        Push(0),
-        Load,
-        Push(-big - 1),
-        Add,
-        Push(0),
-        Store,
-        Jmp(7),
-        Push(0),
-        Load,
-        Output,
+    // A step-and-jump by a step at each edge of `i32` fuses; by a step
+    // just outside it, it stays `AddVar` and `Jump`.
+    let edges = [
+        (i64::from(i32::MIN) - 1, false),
+        (i64::from(i32::MIN), true),
+        (i64::from(i32::MAX), true),
+        (i64::from(i32::MAX) + 1, false),
     ];
-    let program = verify(Program::new(code.clone(), 1)).unwrap();
-    assert!(!lowers_to(&program, |op| matches!(
-        op,
-        Op::AddVarJump { .. }
-    )));
-    assert!(lowers_to(&program, |op| matches!(op, Op::AddVar { .. })));
-    assert_eq!(run(code, 1, &[]), Ok(vec![-big - 1]));
-    // At the edges of `i32` both fuse.
-    for c in [i64::from(i32::MIN), i64::from(i32::MAX)] {
+    for (c, fuses) in edges {
         let code = vec![
-            Push(0),
-            Load,
-            Push(c),
-            Ne,
-            Jz(5),
             Push(0),
             Load,
             Push(c),
             Add,
             Push(0),
             Store,
-            Jmp(12),
+            Jmp(7),
+            Push(0),
+            Load,
+            Output,
         ];
         let program = verify(Program::new(code.clone(), 1)).unwrap();
-        assert!(lowers_to(&program, |op| matches!(
-            op,
-            Op::VarConstBranch { .. }
-        )));
-        assert!(lowers_to(&program, |op| matches!(
-            op,
-            Op::AddVarJump { .. }
-        )));
-        assert_eq!(run(code, 1, &[]), Ok(vec![]));
+        let latch = |op: &Op| matches!(op, Op::AddVarJump { .. });
+        assert_eq!(lowers_to(&program, latch), fuses, "step {c}");
+        let step = |op: &Op| matches!(op, Op::AddVar { .. });
+        assert_eq!(lowers_to(&program, step), !fuses, "step {c}");
+        assert_eq!(run(code, 1, &[]), Ok(vec![c]));
     }
 }
 

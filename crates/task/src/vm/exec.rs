@@ -139,10 +139,11 @@ pub fn execute(
         }
         m.gas += u64::from(entry.gas);
         m.steps += u64::from(entry.steps);
-        let mut i = entry.op as usize;
+        let mut next = ops[entry.op as usize..].iter().copied();
         block = loop {
-            let op = ops[i];
-            i += 1;
+            let Some(op) = next.next() else {
+                unreachable!("every block ends in a control op")
+            };
             match op {
                 Op::Push(c) => m.push(c),
                 Op::Pop => {
@@ -171,10 +172,6 @@ pub fn execute(
                 }
                 Op::SetVar { addr, c } => m.memory[addr as usize] = c,
                 Op::AddVar { addr, c } => m.add_var(addr, c),
-                Op::InputVar { addr, pc } => {
-                    let v = m.input_at(m.memory[addr as usize], pc as usize)?;
-                    m.push(v);
-                }
                 Op::BinInputVar { op, addr, pc } => {
                     let v = m.input_at(m.memory[addr as usize], pc as usize)?;
                     let top = m.top();
@@ -194,10 +191,6 @@ pub fn execute(
                 Op::VarLenBranch { cmp, addr, to } => {
                     let a = m.memory[addr as usize];
                     break branch(compare(cmp, a, inputs.len() as i64), to, block);
-                }
-                Op::VarConstBranch { cmp, addr, c, to } => {
-                    let a = m.memory[addr as usize];
-                    break branch(compare(cmp, a, i64::from(c)), to, block);
                 }
                 Op::AddVarJump { addr, c, to } => {
                     m.add_var(addr, i64::from(c));

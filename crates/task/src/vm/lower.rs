@@ -11,10 +11,9 @@
 //!   meters once per block instead of once per instruction.
 //! * **A flat op array.** Each block's ops are contiguous and end in
 //!   exactly one control op ([`Op::Jump`], [`Op::Branch`],
-//!   [`Op::CmpBranch`], [`Op::VarLenBranch`], [`Op::VarConstBranch`],
-//!   [`Op::AddVarJump`] or [`Op::Halt`]); jumps name blocks, not
-//!   instruction indices. A jump to `code.len()` names the empty exit
-//!   block, the last one.
+//!   [`Op::CmpBranch`], [`Op::VarLenBranch`], [`Op::AddVarJump`] or
+//!   [`Op::Halt`]); jumps name blocks, not instruction indices. A jump to
+//!   `code.len()` names the empty exit block, the last one.
 //! * **Superinstructions** for the assembler's own idioms. A
 //!   *superinstruction* is one op that stands for several original
 //!   instructions:
@@ -23,17 +22,17 @@
 //!     [`Op::SetVar`], [`Op::AddVar`]);
 //!   - `Push c; <binop>` ([`Op::BinConst`]) and `<cmp>; Jz/Jnz`
 //!     ([`Op::CmpBranch`]);
-//!   - the loop idioms the library kernels are built from: a loop test
-//!     of a variable against the input length ([`Op::VarLenBranch`]) or
-//!     against a constant ([`Op::VarConstBranch`]), an indexed read
-//!     `load_var; Input` ([`Op::InputVar`]), the same read folded into a
-//!     binop ([`Op::BinInputVar`]), and the loop latch `incr_var; Jmp`
+//!   - the idioms of a loop over the input words, which the offloaded
+//!     kernel runs once per word: its test of a variable against the
+//!     input length ([`Op::VarLenBranch`]), an indexed read
+//!     `load_var; Input` folded into the binop after it
+//!     ([`Op::BinInputVar`]), and its latch `incr_var; Jmp`
 //!     ([`Op::AddVarJump`]).
 //!
 //!   A pattern is fused only inside one block, so a jump into its middle
-//!   splits it. The loop idioms carry their constants as `i32`, which
-//!   keeps [`Op`] at 16 bytes; a constant outside `i32` leaves its
-//!   pattern to the shorter ops.
+//!   splits it. The latch carries its step as an `i32`, which keeps
+//!   [`Op`] at 16 bytes; a step outside `i32` leaves the latch to
+//!   [`Op::AddVar`] and [`Op::Jump`].
 //!
 //! Ops that can trap on runtime values (memory and input indices,
 //! divisors, the output limit) keep the index of their original
@@ -187,12 +186,6 @@ pub(super) enum Op {
         addr: u32,
         c: i64,
     },
-    /// `Push addr; Load; Input`: `[] → [inputs[mem[addr]]]`. `pc` is the
-    /// `Input`'s.
-    InputVar {
-        addr: u32,
-        pc: u32,
-    },
     /// `Push addr; Load; Input; <binop>`: `[a] → [a ⊕ inputs[mem[addr]]]`.
     /// `pc` is the `Input`'s; the binop's is `pc + 1`.
     BinInputVar {
@@ -227,15 +220,6 @@ pub(super) enum Op {
         addr: u32,
         to: u32,
     },
-    /// `Push addr; Load; Push c; <cmp>; Jz/Jnz`: continue at block `to` if
-    /// `mem[addr] <cmp> c`, else at the next block; `cmp` as in
-    /// [`Op::CmpBranch`].
-    VarConstBranch {
-        cmp: Bin,
-        addr: u32,
-        c: i32,
-        to: u32,
-    },
     /// [`Op::AddVar`] followed by `Jmp`: `mem[addr] += c`, then continue
     /// at block `to`.
     AddVarJump {
@@ -247,7 +231,7 @@ pub(super) enum Op {
     Halt,
 }
 
-// The loop idioms carry `i32` constants so that an op stays this size.
+// `AddVarJump` carries an `i32` step so that an op stays this size.
 const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 /// One basic block: where it starts and what it costs.
@@ -327,7 +311,6 @@ pub(super) fn lower(code: &[Instr], memory_words: u32) -> Lowered {
                     | Op::Branch { .. }
                     | Op::CmpBranch { .. }
                     | Op::VarLenBranch { .. }
-                    | Op::VarConstBranch { .. }
                     | Op::AddVarJump { .. }
                     | Op::Halt
             )
@@ -356,16 +339,15 @@ fn lower_one(rest: &[Instr], pc: usize, memory_words: u32, block_at: &[u32]) -> 
     let pc32 = pc as u32;
     // The comparison under which `<cmp>; Jz/Jnz` jumps.
     let test = |cmp: Instr, jump: Instr| Bin::of(cmp)?.jump_test(matches!(jump, Jnz(_)));
-    let small = |c: i64| i32::try_from(c).ok();
     let to = |t: u32| block_at[t as usize];
     match *rest {
         [Push(a), Load, Push(c), Add, Push(b), Store, Jmp(t), ..]
-            if a == b && var(a) && small(c).is_some() =>
+            if a == b && var(a) && i32::try_from(c).is_ok() =>
         {
             (
                 Op::AddVarJump {
                     addr: a as u32,
-                    c: small(c).expect("guarded"),
+                    c: i32::try_from(c).expect("guarded"),
                     to: to(t),
                 },
                 7,
@@ -386,19 +368,6 @@ fn lower_one(rest: &[Instr], pc: usize, memory_words: u32, block_at: &[u32]) -> 
                 5,
             )
         }
-        [Push(a), Load, Push(c), cmp, jump @ (Jz(t) | Jnz(t)), ..]
-            if var(a) && test(cmp, jump).is_some() && small(c).is_some() =>
-        {
-            (
-                Op::VarConstBranch {
-                    cmp: test(cmp, jump).expect("guarded"),
-                    addr: a as u32,
-                    c: small(c).expect("guarded"),
-                    to: to(t),
-                },
-                5,
-            )
-        }
         // A zero input to `Div`/`Rem` traps at the binop's own pc, which
         // the op derives from the `Input`'s.
         [Push(a), Load, Input, next, ..] if var(a) && Bin::of(next).is_some() => (
@@ -408,13 +377,6 @@ fn lower_one(rest: &[Instr], pc: usize, memory_words: u32, block_at: &[u32]) -> 
                 pc: pc32 + 2,
             },
             4,
-        ),
-        [Push(a), Load, Input, ..] if var(a) => (
-            Op::InputVar {
-                addr: a as u32,
-                pc: pc32 + 2,
-            },
-            3,
         ),
         [Push(c), Push(a), Store, ..] if var(a) => (Op::SetVar { addr: a as u32, c }, 3),
         [Push(a), Load, ..] if var(a) => (Op::LoadVar { addr: a as u32 }, 2),
@@ -513,41 +475,33 @@ mod tests {
     }
 
     #[test]
-    fn every_library_loop_test_is_one_op() {
-        let kernels = [
-            ("sum_inputs", library::sum_inputs()),
-            ("echo_inputs", library::echo_inputs()),
-            ("grid_fuse", library::grid_fuse(4)),
-            ("count_above", library::count_above(2)),
-            ("matmul", library::matmul(2)),
-            ("burn_and_echo", library::burn_and_echo(3)),
-            ("checksum", library::checksum()),
-        ];
-        for (name, kernel) in &kernels {
-            let Lowered { blocks, ops } = kernel.lowered();
-            // A loop's test block is the target of a backward jump.
-            let mut tests: Vec<usize> = ops
-                .iter()
-                .enumerate()
-                .filter_map(|(i, op)| match *op {
-                    Op::Jump { to } | Op::AddVarJump { to, .. }
-                        if to as usize <= block_of(blocks, i) =>
-                    {
-                        Some(to as usize)
-                    }
-                    _ => None,
-                })
-                .collect();
-            tests.sort_unstable();
-            tests.dedup();
-            assert!(!tests.is_empty(), "{name} has no loop");
-            for b in tests {
-                let test = &ops[blocks[b].op as usize..blocks[b + 1].op as usize];
-                assert!(
-                    matches!(test, [Op::VarLenBranch { .. } | Op::VarConstBranch { .. }]),
-                    "{name}'s loop test at block {b} lowers to {test:?}"
-                );
-            }
+    fn burn_and_echo_word_loop_tests_are_one_op() {
+        let kernel = library::burn_and_echo(150);
+        let Lowered { blocks, ops } = kernel.lowered();
+        // A loop's test block is the target of a backward jump.
+        let mut tests: Vec<usize> = ops
+            .iter()
+            .enumerate()
+            .filter_map(|(i, op)| match *op {
+                Op::Jump { to } | Op::AddVarJump { to, .. }
+                    if to as usize <= block_of(blocks, i) =>
+                {
+                    Some(to as usize)
+                }
+                _ => None,
+            })
+            .collect();
+        tests.sort_unstable();
+        tests.dedup();
+        // The round loop (block 0) tests once a round; the hash loop
+        // (block 2) and the echo loop (block 6) test once per input word.
+        assert_eq!(tests, [0, 2, 6]);
+        for b in [2, 6] {
+            let test = &ops[blocks[b].op as usize..blocks[b + 1].op as usize];
+            assert!(
+                matches!(test, [Op::VarLenBranch { addr: 1, .. }]),
+                "the loop test at block {b} lowers to {test:?}"
+            );
         }
     }
 }

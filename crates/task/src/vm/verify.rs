@@ -20,10 +20,9 @@
 //!
 //! * constant-address variable access (`load_var`, `store_var`,
 //!   `set_var`, `incr_var`), `Push c; <binop>` and `<cmp>; Jz/Jnz`;
-//! * the loop idioms the library kernels are built from: a loop test of a
-//!   variable against the input length or a constant, an indexed read
-//!   `load_var; Input`, alone or folded into the next binop, and the
-//!   latch `incr_var; Jmp`.
+//! * the idioms of a loop over the input words: its test of a variable
+//!   against the input length, an indexed read `load_var; Input` folded
+//!   into the next binop, and its latch `incr_var; Jmp`.
 //!
 //! A node that verifies an offer once can then run it any number of times
 //! without decoding it again; see [`execute`](super::execute()) for why
